@@ -30,7 +30,8 @@ chaos-smoke:
 
 # Short fuzz pass over every parser that consumes on-disk bytes: the
 # durable container reader, the pool loader, the FASTA/FASTQ parsers, the
-# fault-injection spec DSL, and the channel stage-pipeline DSL.
+# fault-injection spec DSL, and the channel stage-pipeline DSL — plus the
+# bit-parallel edit-distance kernel against its full-matrix oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -38,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFASTQ -fuzztime=10s ./internal/seqio/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
+	$(GO) test -run='^$$' -fuzz=FuzzDistanceAtMost -fuzztime=10s ./internal/align/
 
 # Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
 # plus the machine-readable simulate hot-path measurement CI archives as an

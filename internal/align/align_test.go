@@ -74,7 +74,7 @@ func TestDistanceAtMostMatchesDistanceQuick(t *testing.T) {
 		a := randStrand(r, int(la%30))
 		b := randStrand(r, int(lb%30))
 		k := int(kRaw % 12)
-		want := Distance(a, b)
+		want := levenshteinOracle(a, b)
 		d, ok := DistanceAtMost(a, b, k)
 		if want <= k {
 			return ok && d == want
@@ -84,6 +84,239 @@ func TestDistanceAtMostMatchesDistanceQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// levenshteinOracle is the textbook full-matrix Levenshtein DP, the
+// reference every distance kernel is checked against.
+func levenshteinOracle(a, b string) int {
+	cols := len(b) + 1
+	d := make([]int, (len(a)+1)*cols)
+	for j := 0; j <= len(b); j++ {
+		d[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		d[i*cols] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d[i*cols+j] = min(d[(i-1)*cols+j-1]+cost, d[(i-1)*cols+j]+1, d[i*cols+j-1]+1)
+		}
+	}
+	return d[len(a)*cols+len(b)]
+}
+
+// bandedDistanceAtMost is the banded Ukkonen DP that DistanceAtMost ran
+// before the bit-parallel kernel, kept as a second oracle for the
+// (d, ok) contract.
+func bandedDistanceAtMost(a, b string, k int) (int, bool) {
+	if k < 0 {
+		return k + 1, false
+	}
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	if len(a)-len(b) > k {
+		return k + 1, false
+	}
+	n := len(b)
+	if n == 0 {
+		return len(a), true
+	}
+	const inf = int(^uint(0) >> 2)
+	row := make([]int, n+1)
+	for j := 0; j <= n; j++ {
+		if j <= k {
+			row[j] = j
+		} else {
+			row[j] = inf
+		}
+	}
+	for i := 1; i <= len(a); i++ {
+		lo := i - k
+		if lo < 1 {
+			lo = 1
+		}
+		hi := i + k
+		if hi > n {
+			hi = n
+		}
+		if lo > hi {
+			return k + 1, false
+		}
+		prev := row[lo-1] // diagonal for j = lo
+		if lo-1 == 0 {
+			row[0] = i // column 0 cost
+			if i > k {
+				row[0] = inf
+			}
+		}
+		if lo > 1 {
+			row[lo-1] = inf // outside band on this row
+		}
+		rowMin := inf
+		for j := lo; j <= hi; j++ {
+			cur := row[j]
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			best := inf
+			if prev < inf {
+				best = prev + cost
+			}
+			if cur < inf && cur+1 < best {
+				best = cur + 1
+			}
+			if row[j-1] < inf && row[j-1]+1 < best {
+				best = row[j-1] + 1
+			}
+			row[j] = best
+			if best < rowMin {
+				rowMin = best
+			}
+			prev = cur
+		}
+		if hi < n {
+			row[hi+1] = inf
+		}
+		if rowMin > k {
+			return k + 1, false
+		}
+	}
+	if row[n] > k {
+		return k + 1, false
+	}
+	return row[n], true
+}
+
+// checkAgainstOracle compares Distance, DistanceAtMost and Similar on
+// (a, b, k) with want, the oracle's distance, and with the banded DP.
+func checkAgainstOracle(t *testing.T, a, b string, k, want int) {
+	t.Helper()
+	if got := Distance(a, b); got != want {
+		t.Fatalf("Distance(%q, %q) = %d, want %d", a, b, got, want)
+	}
+	wantD, wantOK := want, want <= k
+	if !wantOK {
+		wantD = k + 1
+	}
+	d, ok := DistanceAtMost(a, b, k)
+	if d != wantD || ok != wantOK {
+		t.Fatalf("DistanceAtMost(%q, %q, %d) = (%d, %v), want (%d, %v)", a, b, k, d, ok, wantD, wantOK)
+	}
+	if bd, bok := bandedDistanceAtMost(a, b, k); bd != d || bok != ok {
+		t.Fatalf("banded DP (%d, %v) and DistanceAtMost (%d, %v) disagree on (%q, %q, %d)", bd, bok, d, ok, a, b, k)
+	}
+	if Similar(a, b, k) != wantOK {
+		t.Fatalf("Similar(%q, %q, %d) = %v, want %v", a, b, k, !wantOK, wantOK)
+	}
+}
+
+// mutate applies n random substitutions, insertions and deletions to s,
+// drawing inserted and substituted bytes from alpha.
+func mutate(r *rng.RNG, s, alpha string, n int) string {
+	b := []byte(s)
+	for e := 0; e < n; e++ {
+		c := alpha[r.Intn(len(alpha))]
+		switch p := r.Intn(len(b) + 1); {
+		case r.Bool(1.0/3) && p < len(b):
+			b[p] = c
+		case r.Bool(0.5) && p < len(b):
+			b = append(b[:p], b[p+1:]...)
+		default:
+			b = append(b[:p], append([]byte{c}, b[p:]...)...)
+		}
+	}
+	return string(b)
+}
+
+// TestDistanceAtMostDifferential checks the bit-parallel kernel against
+// both oracles on strands whose lengths straddle the 64-row word
+// boundaries and the 512-symbol stack budget, on near and far pairs, over
+// k < 0, k = 0, k around the distance and k ≥ the longer length, with
+// empty strings and bytes outside ACGT.
+func TestDistanceAtMostDifferential(t *testing.T) {
+	r := rng.New(2024)
+	lengths := []int{0, 1, 2, 31, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 511, 512, 513, 700}
+	alphabets := []string{"ACGT", "ACGT", "ACGTN", "AC", "ACGTNnx\x00\xff-*"}
+	for trial := 0; trial < 400; trial++ {
+		alpha := alphabets[trial%len(alphabets)]
+		la := lengths[r.Intn(len(lengths))]
+		if trial%3 == 0 {
+			la = r.Intn(600)
+		}
+		a := randOver(r, alpha, la)
+		var b string
+		switch trial % 4 {
+		case 0: // unrelated
+			b = randOver(r, alpha, lengths[r.Intn(len(lengths))])
+		case 1: // empty
+			b = ""
+		default: // a noisy copy
+			b = mutate(r, a, alpha, r.Intn(la/4+3))
+		}
+		if r.Bool(0.5) {
+			a, b = b, a
+		}
+		d := levenshteinOracle(a, b)
+		longest := max(len(a), len(b))
+		for _, k := range []int{-2, -1, 0, 1, d - 1, d, d + 1, r.Intn(longest + 2), longest, longest + 5} {
+			checkAgainstOracle(t, a, b, k, d)
+		}
+	}
+}
+
+// FuzzDistanceAtMost checks DistanceAtMost, Distance and Similar against
+// the full-matrix oracle on arbitrary bytes.
+func FuzzDistanceAtMost(f *testing.F) {
+	f.Add("KITTEN", "SITTING", 3)
+	f.Add("", "ACGT", 4)
+	f.Add("ACGT", "", -1)
+	f.Add(strings.Repeat("ACGT", 20), strings.Repeat("ACGA", 20), 0)
+	f.Add(strings.Repeat("ACGTN", 30), strings.Repeat("TGCA", 33), 60)
+	f.Fuzz(func(t *testing.T, a, b string, k int) {
+		// Keep the quadratic oracle cheap.
+		if len(a) > 700 || len(b) > 700 || k < -3 || k > 1000 {
+			t.Skip()
+		}
+		checkAgainstOracle(t, a, b, k, levenshteinOracle(a, b))
+	})
+}
+
+// TestDistanceAtMostNoAlloc: strands up to 512 nt, hit or miss, run the
+// kernel entirely on the stack — the clustering hot loop calls it ~10k
+// times per get.
+func TestDistanceAtMostNoAlloc(t *testing.T) {
+	r := rng.New(3)
+	for _, n := range []int{20, 142, 512} {
+		x := randStrand(r, n)
+		near := mutate(r, x, "ACGT", n/20+1)
+		far := randStrand(r, n+1)
+		k := n / 4
+		if _, ok := DistanceAtMost(x, near, k); !ok {
+			t.Fatalf("n=%d: near copy missed", n)
+		}
+		if _, ok := DistanceAtMost(x, far, k); ok {
+			t.Fatalf("n=%d: unrelated strand hit", n)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			DistanceAtMost(x, near, k)
+			DistanceAtMost(x, far, k)
+			Distance(x, far)
+		}); a != 0 {
+			t.Errorf("n=%d: %.1f allocs per run, want 0", n, a)
+		}
+	}
+}
+
+func randOver(r *rng.RNG, alpha string, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = alpha[r.Intn(len(alpha))]
+	}
+	return string(b)
 }
 
 func randStrand(r *rng.RNG, n int) string {
@@ -413,6 +646,33 @@ func BenchmarkDistance110(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Distance(x, y)
+	}
+}
+
+// sinkInt keeps benchmarked results alive.
+var sinkInt int
+
+// BenchmarkDistanceAtMost142 times one clustering comparison of the
+// store workload: a 142-nt representative against a 143-nt read at the
+// default threshold k = 35, for a noisy copy (hit) and an unrelated
+// strand (miss).
+func BenchmarkDistanceAtMost142(b *testing.B) {
+	r := rng.New(4)
+	x := randStrand(r, 142)
+	for _, c := range []struct {
+		name string
+		y    string
+	}{
+		{"hit", mutate(r, x+"A", "ACGT", 6)},
+		{"miss", randStrand(r, 143)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, _ := DistanceAtMost(x, c.y, 35)
+				sinkInt += d
+			}
+		})
 	}
 }
 

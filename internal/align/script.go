@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"sync"
 
 	"dnastore/internal/rng"
 )
@@ -69,6 +70,11 @@ type ScriptOptions struct {
 	RNG *rng.RNG
 }
 
+// costPool recycles Script's DP matrices. Reconstruction aligns every read
+// of a cluster against the running estimate, round after round, and a
+// fresh matrix per call was most of what a `dnastore get` allocated.
+var costPool = sync.Pool{New: func() any { return new([]int32) }}
+
 // Script returns a minimum-cost edit script transforming ref into read.
 // The number of non-Equal ops equals Distance(ref, read). Among equally
 // minimal scripts, the tie-break policy in opts picks one; the zero options
@@ -77,8 +83,16 @@ func Script(ref, read string, opts ScriptOptions) []Op {
 	m, n := len(ref), len(read)
 	// Full DP cost matrix; strands here are short (~110 bases) so the
 	// quadratic matrix (~12k cells) is cheap and the traceback is exact.
+	// The fill below writes every cell before reading it, so a recycled
+	// matrix needs no clearing.
 	cols := n + 1
-	cost := make([]int32, (m+1)*cols)
+	size := (m + 1) * cols
+	buf := costPool.Get().(*[]int32)
+	defer costPool.Put(buf)
+	if cap(*buf) < size {
+		*buf = make([]int32, size)
+	}
+	cost := (*buf)[:size]
 	idx := func(i, j int) int { return i*cols + j }
 	for j := 0; j <= n; j++ {
 		cost[idx(0, j)] = int32(j)

@@ -9,26 +9,26 @@
 // The clusterer is a greedy single-pass algorithm in the spirit of
 // Rashtchian et al. [18]: reads are bucketed by k-mer minimizer signatures
 // so that only plausible neighbours are compared, and a read joins the
-// first existing cluster whose representative is within a banded edit
-// distance threshold.
+// existing cluster whose representative is nearest in edit distance, within
+// a threshold (the earliest such cluster on ties).
 package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 
 	"dnastore/internal/align"
 	"dnastore/internal/dataset"
 	"dnastore/internal/dna"
 )
 
-// Config parameterises the greedy clusterer.
+// Config parameterises the greedy clusterer. The zero value uses the
+// defaults `dnastore get` clusters with.
 type Config struct {
-	// K is the k-mer length for minimizer signatures (default 12).
+	// K is the k-mer length for minimizer signatures (default 10).
 	K int
 	// Signatures is how many minimizers (smallest k-mer hashes) each read
-	// contributes to the bucket index (default 3).
+	// contributes to the bucket index (default 6).
 	Signatures int
 	// Threshold is the maximum edit distance between a read and a cluster
 	// representative for the read to join (default: 25% of read length).
@@ -57,8 +57,10 @@ func (c Config) threshold(readLen int) int {
 }
 
 // GreedyIndices clusters the pool and returns the member indices of each
-// cluster, in pool order of first member. Reads shorter than the k-mer
-// length form singleton clusters.
+// cluster, in pool order of first member. A read shorter than the k-mer
+// length has one signature, the hash of the whole read, so it is compared
+// only with identical short reads: those merge, empty reads included
+// (their threshold is 0), and every other short read stays a singleton.
 func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 	type clusterRec struct {
 		rep     dna.Strand
@@ -66,21 +68,22 @@ func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 	}
 	var clusters []clusterRec
 	buckets := make(map[uint64][]int) // minimizer hash -> cluster ids
-	sigBuf := make([]uint64, 0, cfg.signatures())
+	sk := newSketcher(cfg)
+	// seen[cid] == i+1 once read i has compared against cluster cid.
+	var seen []int
 
 	for i, read := range pool {
-		sigs := minimizers(read, cfg.k(), cfg.signatures(), sigBuf[:0])
+		sigs := sk.minimizers(read)
+		thr := cfg.threshold(read.Len())
 		best := -1
 		bestDist := int(^uint(0) >> 1)
-		seen := map[int]bool{}
 		for _, s := range sigs {
 			for _, cid := range buckets[s] {
-				if seen[cid] {
+				if seen[cid] == i+1 {
 					continue
 				}
-				seen[cid] = true
+				seen[cid] = i + 1
 				rep := clusters[cid].rep
-				thr := cfg.threshold(read.Len())
 				if d, ok := align.DistanceAtMost(string(rep), string(read), thr); ok && d < bestDist {
 					best, bestDist = cid, d
 				}
@@ -100,6 +103,7 @@ func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 		}
 		cid := len(clusters)
 		clusters = append(clusters, clusterRec{rep: read, members: []int{i}})
+		seen = append(seen, 0)
 		for _, s := range sigs {
 			buckets[s] = append(buckets[s], cid)
 		}
@@ -126,30 +130,42 @@ func Greedy(pool []dna.Strand, cfg Config) [][]dna.Strand {
 	return out
 }
 
-// minimizers returns the n smallest k-mer hashes of the strand (fewer when
-// the strand has fewer k-mers; the whole-strand hash when shorter than k).
-func minimizers(s dna.Strand, k, n int, buf []uint64) []uint64 {
-	if s.Len() < k {
-		return append(buf, hashBytes([]byte(s)))
+// sketcher computes minimizer signatures, reusing its buffers from read
+// to read.
+type sketcher struct {
+	k, n   int
+	hashes []uint64 // every k-mer hash of the current read
+	sigs   []uint64
+}
+
+func newSketcher(cfg Config) *sketcher {
+	return &sketcher{k: cfg.k(), n: cfg.signatures()}
+}
+
+// minimizers returns the n smallest distinct k-mer hashes of the strand
+// (fewer when the strand has fewer; the whole-strand hash when it is
+// shorter than k). The result is valid until the next call.
+func (sk *sketcher) minimizers(s dna.Strand) []uint64 {
+	sk.sigs = sk.sigs[:0]
+	if s.Len() < sk.k {
+		return append(sk.sigs, hashFNV(string(s)))
 	}
-	hashes := make([]uint64, 0, s.Len()-k+1)
-	for i := 0; i+k <= s.Len(); i++ {
-		hashes = append(hashes, hashBytes([]byte(s[i:i+k])))
+	sk.hashes = sk.hashes[:0]
+	for i := 0; i+sk.k <= s.Len(); i++ {
+		sk.hashes = append(sk.hashes, hashFNV(string(s[i:i+sk.k])))
 	}
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
+	slices.Sort(sk.hashes)
 	// Deduplicate while collecting the n smallest.
-	var last uint64
-	for i, h := range hashes {
-		if i > 0 && h == last {
+	for i, h := range sk.hashes {
+		if i > 0 && h == sk.hashes[i-1] {
 			continue
 		}
-		buf = append(buf, h)
-		last = h
-		if len(buf) == n {
+		sk.sigs = append(sk.sigs, h)
+		if len(sk.sigs) == sk.n {
 			break
 		}
 	}
-	return buf
+	return sk.sigs
 }
 
 func containsID(ids []int, id int) bool {
@@ -161,10 +177,19 @@ func containsID(ids []int, id int) bool {
 	return false
 }
 
-func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// hashFNV is the 64-bit FNV-1a hash of s, the value hash/fnv's New64a
+// gives, computed without allocating a hasher.
+func hashFNV(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }
 
 // AssignToReferences maps unlabeled clusters back to reference strands for
@@ -179,26 +204,27 @@ func AssignToReferences(clusters [][]dna.Strand, refs []dna.Strand, maxDist int)
 		ds.Clusters[i].Ref = ref
 	}
 	// Bucket references by minimizer for fast nearest lookup.
-	cfg := Config{}
+	sk := newSketcher(Config{})
 	refBuckets := make(map[uint64][]int)
 	for i, ref := range refs {
-		for _, s := range minimizers(ref, cfg.k(), cfg.signatures(), nil) {
+		for _, s := range sk.minimizers(ref) {
 			refBuckets[s] = append(refBuckets[s], i)
 		}
 	}
-	for _, members := range clusters {
+	// seen[ri] == ci+1 once cluster ci has compared against reference ri.
+	seen := make([]int, len(refs))
+	for ci, members := range clusters {
 		if len(members) == 0 {
 			continue
 		}
 		rep := members[0]
 		best, bestDist := -1, maxDist+1
-		seen := map[int]bool{}
-		for _, s := range minimizers(rep, cfg.k(), cfg.signatures(), nil) {
+		for _, s := range sk.minimizers(rep) {
 			for _, ri := range refBuckets[s] {
-				if seen[ri] {
+				if seen[ri] == ci+1 {
 					continue
 				}
-				seen[ri] = true
+				seen[ri] = ci + 1
 				if d, ok := align.DistanceAtMost(string(refs[ri]), string(rep), maxDist); ok && d < bestDist {
 					best, bestDist = ri, d
 				}

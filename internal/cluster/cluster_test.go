@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"dnastore/internal/channel"
@@ -97,6 +98,21 @@ func TestShortReadsFormSingletons(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("clusters cover %d reads", total)
+	}
+}
+
+func TestHashFNVMatchesStdlib(t *testing.T) {
+	r := rng.New(6)
+	for n := 0; n < 40; n++ {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(r.Uint64())
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		if got, want := hashFNV(string(b)), h.Sum64(); got != want {
+			t.Fatalf("hashFNV(%q) = %#x, want %#x", b, got, want)
+		}
 	}
 }
 
