@@ -14,19 +14,23 @@ verify: build test verify-race chaos-smoke fuzz-smoke
 
 # Race-detector pass over the concurrent packages: the simulator worker
 # pool and checkpointing (internal/channel), the adaptive retrieve path
-# (internal/store), the journal (internal/durable), and the metrics
-# registry / stage timer (internal/obs).
+# (internal/store), the journal (internal/durable), the metrics
+# registry / stage timer (internal/obs), and the get path's parallel
+# reconstruction (internal/recon workers sharing the pooled
+# internal/align script matrices, over internal/cluster's output).
 verify-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/...
+	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... \
+		./internal/align/... ./internal/recon/... ./internal/cluster/...
 
 # Chaos smoke: the dnasimd job-server drills — injected panics, stalls,
 # overload shedding, breaker trips and the drain/resume cycle — plus the
 # client/proxy drills (resets, slow-loris, blackholes, corrupted bodies,
 # end-to-end conservation) and the fleet coordinator drills, all under the
-# race detector.
+# race detector. The explicit timeout makes a drain deadlock fail in
+# minutes instead of hanging until go test's 10-minute default.
 chaos-smoke:
-	$(GO) test -race -count=1 ./internal/server/... ./internal/client/... ./internal/chaosnet/... ./internal/fleet/...
+	$(GO) test -race -count=1 -timeout 5m ./internal/server/... ./internal/client/... ./internal/chaosnet/... ./internal/fleet/...
 
 # Short fuzz pass over every parser that consumes on-disk bytes: the
 # durable container reader, the pool loader, the FASTA/FASTQ parsers, the
@@ -81,6 +85,7 @@ loadcheck:
 # the real dnasimd coordinator binary SIGKILLed mid-job, restarted on the
 # same -data-dir, and required to finish the job byte-identically under
 # its old ID with pre-kill shards served from the durable spill, every
-# ledger and spill file scrubbing clean afterwards.
+# ledger and spill file scrubbing clean afterwards. Timeout as in
+# chaos-smoke.
 fleetcheck:
-	$(GO) test -race -count=1 -run 'TestFleetDrill|TestFleetShardHandoffResume' ./internal/fleet/
+	$(GO) test -race -count=1 -timeout 5m -run 'TestFleetDrill|TestFleetShardHandoffResume' ./internal/fleet/

@@ -47,15 +47,15 @@ func TestAllocRegressedPositiveBaseline(t *testing.T) {
 		tolerance         float64
 		want              bool
 	}{
-		{100, 100, 0.15, false},           // unchanged
-		{100, 90, 0.15, false},            // improvement
-		{100, 110, 0.15, false},           // +10% under a 15% tolerance
-		{100, 130, 0.15, true},            // +30% and +30 absolute
-		{10, 12, 0.15, false},             // +20% but within the 8-alloc grace
-		{10, 19, 0.15, true},              // +90% and past the grace
-		{1000, 1005, 0.001, false},        // +0.5% over a 0.1% tolerance but within grace
-		{1000, 1200, 0.15, true},          // +20%
-		{8275, 1208, 0.15, false},         // the large improvement this PR lands
+		{100, 100, 0.15, false},    // unchanged
+		{100, 90, 0.15, false},     // improvement
+		{100, 110, 0.15, false},    // +10% under a 15% tolerance
+		{100, 130, 0.15, true},     // +30% and +30 absolute
+		{10, 12, 0.15, false},      // +20% but within the 8-alloc grace
+		{10, 19, 0.15, true},       // +90% and past the grace
+		{1000, 1005, 0.001, false}, // +0.5% over a 0.1% tolerance but within grace
+		{1000, 1200, 0.15, true},   // +20%
+		{8275, 1208, 0.15, false},  // a large improvement
 	}
 	for _, c := range cases {
 		if got := allocRegressed(c.baseline, c.current, c.tolerance); got != c.want {

@@ -84,12 +84,19 @@ func main() {
 	logger := log.New(os.Stderr, "dnasimd: ", log.LstdFlags)
 	slogger := logOpts.Logger("dnasimd")
 
+	// Both modes serve the same jobs front-end; they differ only in the
+	// executor behind it.
+	var svc interface {
+		http.Handler
+		Drain()
+	}
+	var banner string
 	if *coordinator {
 		nodeList, err := parseNodes(*nodes)
 		if err != nil {
 			log.Fatalf("dnasimd: %v", err)
 		}
-		runCoordinator(*addr, fleet.Config{
+		coord, err := fleet.New(fleet.Config{
 			Nodes:            nodeList,
 			ShardClusters:    *shardClusters,
 			MaxShardAttempts: *maxShardAtt,
@@ -102,37 +109,47 @@ func main() {
 			BreakerThreshold: *brkFails,
 			BreakerCooldown:  *brkCooldown,
 			Logger:           slogger,
-		}, logger, *pprof)
-		return
-	}
-
-	if *dataDir != "" {
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			log.Fatalf("dnasimd: data dir: %v", err)
+		})
+		if err != nil {
+			log.Fatalf("dnasimd: %v", err)
 		}
+		names := make([]string, len(nodeList))
+		for i, n := range nodeList {
+			names[i] = n.Name
+		}
+		svc = coord
+		banner = fmt.Sprintf("coordinating %d node(s) [%s] on %s (shard=%d clusters, hedge=%s, partial=%v)",
+			len(nodeList), strings.Join(names, " "), *addr, *shardClusters, *hedgeAfter, *allowPartial)
+	} else {
+		if *dataDir != "" {
+			if err := os.MkdirAll(*dataDir, 0o755); err != nil {
+				log.Fatalf("dnasimd: data dir: %v", err)
+			}
+		}
+		svc = server.New(server.Config{
+			QueueCapacity:     *queueCap,
+			Workers:           *workers,
+			DataDir:           *dataDir,
+			MaxAttempts:       *maxAttempts,
+			StallAfter:        *stallAfter,
+			DrainGrace:        *drainGrace,
+			DefaultJobTimeout: *jobTimeout,
+			BreakerThreshold:  *brkFails,
+			BreakerCooldown:   *brkCooldown,
+			Logf:              logger.Printf,
+			Logger:            slogger,
+		})
+		banner = fmt.Sprintf("listening on %s (queue=%d workers=%d data=%q)", *addr, *queueCap, *workers, *dataDir)
 	}
-	srv := server.New(server.Config{
-		QueueCapacity:     *queueCap,
-		Workers:           *workers,
-		DataDir:           *dataDir,
-		MaxAttempts:       *maxAttempts,
-		StallAfter:        *stallAfter,
-		DrainGrace:        *drainGrace,
-		DefaultJobTimeout: *jobTimeout,
-		BreakerThreshold:  *brkFails,
-		BreakerCooldown:   *brkCooldown,
-		Logf:              logger.Printf,
-		Logger:            slogger,
-	})
 
-	// The server handles everything (including /metrics); pprof, when
+	// The service handles everything (including /metrics); pprof, when
 	// enabled, mounts on an outer mux so the server package never links
 	// net/http/pprof into embedders that don't want it.
-	handler := http.Handler(srv)
+	handler := http.Handler(svc)
 	if *pprof {
 		outer := http.NewServeMux()
 		obs.RegisterPprof(outer)
-		outer.Handle("/", srv)
+		outer.Handle("/", svc)
 		handler = outer
 		slogger.Info("pprof endpoints enabled", "path", "/debug/pprof/")
 	}
@@ -140,7 +157,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (queue=%d workers=%d data=%q)", *addr, *queueCap, *workers, *dataDir)
+		logger.Print(banner)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -150,9 +167,10 @@ func main() {
 	case sig := <-sigCh:
 		logger.Printf("%s: draining", sig)
 		// Drain first — admission stops, /readyz flips, in-flight jobs
-		// finish or checkpoint — and only then close the listener, so
-		// status and result queries keep working throughout the drain.
-		srv.Drain()
+		// finish, checkpoint, or (coordinator) park in their ledgers for a
+		// restart on the same -data-dir — and only then close the
+		// listener, so status and result queries keep working throughout.
+		svc.Drain()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -181,55 +199,4 @@ func parseNodes(s string) ([]fleet.NodeConfig, error) {
 		out = append(out, fleet.NodeConfig{Name: name, BaseURL: url})
 	}
 	return out, nil
-}
-
-// runCoordinator serves the fleet coordinator until a shutdown signal,
-// then drains: admission stops, in-flight jobs park in their write-ahead
-// ledgers (when -data-dir is set), and a restart on the same -data-dir
-// re-adopts them — collecting shards that finished on workers in the
-// meantime via the spill cache and derived Idempotency-Keys.
-func runCoordinator(addr string, cfg fleet.Config, logger *log.Logger, pprof bool) {
-	coord, err := fleet.New(cfg)
-	if err != nil {
-		log.Fatalf("dnasimd: %v", err)
-	}
-	handler := http.Handler(coord)
-	if pprof {
-		outer := http.NewServeMux()
-		obs.RegisterPprof(outer)
-		outer.Handle("/", coord)
-		handler = outer
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
-	errCh := make(chan error, 1)
-	go func() {
-		names := make([]string, len(cfg.Nodes))
-		for i, n := range cfg.Nodes {
-			names[i] = n.Name
-		}
-		logger.Printf("coordinating %d node(s) [%s] on %s (shard=%d clusters, hedge=%s, partial=%v)",
-			len(cfg.Nodes), strings.Join(names, " "), addr, cfg.ShardClusters, cfg.HedgeAfter, cfg.AllowPartial)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, os.Interrupt)
-	select {
-	case sig := <-sigCh:
-		logger.Printf("%s: draining coordinator", sig)
-		// Drain, not Close: park in-flight jobs in their ledgers and fsync
-		// them shut, so a restart on the same -data-dir resumes the work.
-		// Status and result queries keep answering until the listener stops.
-		coord.Drain()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Printf("http shutdown: %v", err)
-		}
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "dnasimd:", err)
-			os.Exit(1)
-		}
-	}
 }

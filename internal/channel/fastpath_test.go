@@ -11,8 +11,7 @@ import (
 
 // Tests for the integer draw-grid machinery behind the compiled plan
 // (lowerBound / chainBoundaries) and for the AppendTransmit arena fast
-// path: concurrent Scratch reuse and the FastRNGOrder draw-accounting
-// escape hatch.
+// path: concurrent Scratch reuse.
 
 // TestLowerBound pins the search contract: smallest i with u < a[i],
 // len(a) when no element is above u — including empty input, duplicate
@@ -148,51 +147,5 @@ func TestScratchConcurrentReuse(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestFastRNGOrderDeterministic checks the escape hatch's contract: with
-// FastRNGOrder set, repeated runs from the same seed are byte-identical
-// (it is still deterministic), and the first transmit's output matches
-// the reference exactly — only the post-call stream position may differ,
-// because unused batch draws are dropped instead of backstepped.
-func TestFastRNGOrderDeterministic(t *testing.T) {
-	fast := goldenModelSecondOrder().shallowCopy()
-	fast.FastRNGOrder = true
-	exact := goldenModelSecondOrder()
-	for seed := uint64(1); seed <= 10; seed++ {
-		ref := RandomReferences(1, 110, seed)[0]
-		a := fast.Transmit(ref, rng.New(seed))
-		b := fast.Transmit(ref, rng.New(seed))
-		if a != b {
-			t.Fatalf("seed %d: FastRNGOrder is not deterministic", seed)
-		}
-		if want := exact.transmitReference(ref, rng.New(seed)); a != want {
-			t.Fatalf("seed %d: first FastRNGOrder transmit must still match the reference", seed)
-		}
-	}
-}
-
-// TestFastRNGOrderDivergesDownstream documents WHY the mode is opt-in:
-// consecutive transmits on one RNG drift from unbatched accounting, so a
-// multi-read stream (a cluster) stops matching the reference. If this
-// test ever fails, Discard has silently become Unbind and the mode's
-// documentation is wrong.
-func TestFastRNGOrderDivergesDownstream(t *testing.T) {
-	fast := goldenModelSecondOrder().shallowCopy()
-	fast.FastRNGOrder = true
-	exact := goldenModelSecondOrder()
-	const seed, reads = 7, 20
-	ref := RandomReferences(1, 110, seed)[0]
-	rFast, rExact := rng.New(seed), rng.New(seed)
-	diverged := false
-	for k := 0; k < reads; k++ {
-		if fast.Transmit(ref, rFast) != exact.transmitReference(ref, rExact) {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatalf("%d consecutive FastRNGOrder transmits never diverged from per-call accounting; Discard appears to rewind", reads)
 	}
 }

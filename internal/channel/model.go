@@ -82,15 +82,6 @@ type Model struct {
 	// model. Their rates are *in addition to* PerBase; calibration shrinks
 	// PerBase so the aggregate stays fixed.
 	SecondOrder []SecondOrderError
-	// FastRNGOrder opts in to batched draw accounting: the RNG is left
-	// wherever the batched fill put it instead of being backstepped to the
-	// exact per-draw position after each read. Output is still
-	// deterministic per seed, but the stream no longer matches unbatched
-	// draw-for-draw accounting — so golden hashes recorded with the flag
-	// off will not reproduce with it on. Leave false (the default) unless
-	// profiling shows the Unbind rewind matters; see DESIGN.md §15.
-	FastRNGOrder bool
-
 	// plans caches one compiled transmission plan per strand length in a
 	// copy-on-write map (see plan.go): Transmit reads it with a single
 	// atomic load and never takes a lock. Like the mutex-guarded caches it
@@ -172,8 +163,8 @@ func (m *Model) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
 // dst as ASCII bytes, and all randomness flows through the arena's
 // batched RNG block — filled in bulk up front, then backstepped past the
 // unconsumed draws so the generator's stream position is exactly what
-// per-call draws would have left (unless FastRNGOrder opts out of the
-// rewind). The hot loop itself lives in txPlan.appendTransmit (plan.go).
+// per-call draws would have left. The hot loop itself lives in
+// txPlan.appendTransmit (plan.go).
 //
 // Output bytes and draw accounting are identical to transmitReference —
 // the golden-seed and differential suites enforce this byte-for-byte.
@@ -191,11 +182,7 @@ func (m *Model) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scra
 	d := &scr.batch
 	d.Bind(r, length+8)
 	dst = p.appendTransmit(dst, ref, d)
-	if m.FastRNGOrder {
-		d.Discard()
-	} else {
-		d.Unbind()
-	}
+	d.Unbind()
 	return dst
 }
 
@@ -390,14 +377,13 @@ func (m *Model) WithSecondOrder(errors []SecondOrderError) *Model {
 // copy compiles fresh plans on first Transmit.
 func (m *Model) shallowCopy() *Model {
 	out := &Model{
-		Label:        m.Label,
-		PerBase:      m.PerBase,
-		SubMatrix:    m.SubMatrix,
-		InsDist:      m.InsDist,
-		LongDel:      m.LongDel,
-		Spatial:      m.Spatial,
-		SecondOrder:  append([]SecondOrderError(nil), m.SecondOrder...),
-		FastRNGOrder: m.FastRNGOrder,
+		Label:       m.Label,
+		PerBase:     m.PerBase,
+		SubMatrix:   m.SubMatrix,
+		InsDist:     m.InsDist,
+		LongDel:     m.LongDel,
+		Spatial:     m.Spatial,
+		SecondOrder: append([]SecondOrderError(nil), m.SecondOrder...),
 	}
 	out.LongDel.LengthWeights = append([]float64(nil), m.LongDel.LengthWeights...)
 	return out

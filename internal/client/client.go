@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -212,13 +211,6 @@ func parseRetryAfter(resp *http.Response) int {
 // doOnce performs one HTTP exchange under the per-call timeout and decodes
 // a JSON body into out (skipped when out is nil, the raw-bytes path
 // handles its own read). It classifies failures as transient or permanent.
-// bodyChecksum mirrors the server's response-body hash (FNV-64a, hex).
-func bodyChecksum(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 func (c *Client) doOnce(ctx context.Context, method, path string, hdr http.Header, body []byte, out any) (*http.Response, []byte, error) {
 	callCtx, cancel := context.WithTimeout(ctx, c.cfg.PerCallTimeout)
 	defer cancel()
@@ -258,9 +250,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, hdr http.Heade
 	// checksum header. Framing-valid responses whose bytes were flipped in
 	// flight (mangled IDs inside parseable JSON, silently corrupted result
 	// payloads) are a transport fault to retry, never data to act on.
-	if want := resp.Header.Get(server.BodyChecksumHeader); want != "" && want != bodyChecksum(raw) {
+	if want := resp.Header.Get(server.BodyChecksumHeader); want != "" && want != server.BodyChecksum(raw) {
 		return resp, nil, &transientError{
-			err:           fmt.Errorf("client: %s %s: body checksum mismatch (got %s bytes, want %s)", method, path, bodyChecksum(raw), want),
+			err:           fmt.Errorf("client: %s %s: body checksum mismatch (got %s bytes, want %s)", method, path, server.BodyChecksum(raw), want),
 			retryAfterSec: -1,
 		}
 	}

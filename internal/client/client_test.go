@@ -463,7 +463,7 @@ func TestChecksumMismatchRetries(t *testing.T) {
 			// Valid JSON, valid framing, wrong checksum: flipped in flight.
 			w.Header().Set(server.BodyChecksumHeader, "deadbeefdeadbeef")
 		} else {
-			w.Header().Set(server.BodyChecksumHeader, bodyChecksum(body))
+			w.Header().Set(server.BodyChecksumHeader, server.BodyChecksum(body))
 		}
 		w.Write(body)
 	}))

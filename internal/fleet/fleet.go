@@ -104,10 +104,13 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// Coordinator drives a fleet of worker dnasimd nodes. It implements
-// http.Handler with the same API surface as a single dnasimd instance, so
-// clients (and dnaload) target a coordinator unchanged.
+// Coordinator drives a fleet of worker dnasimd nodes. It embeds the same
+// jobs front-end a single dnasimd instance serves (HTTP API, job table,
+// idempotency, drain), so clients (and dnaload) target a coordinator
+// unchanged; the coordinator is the executor behind it.
 type Coordinator struct {
+	*server.Server
+
 	cfg     Config
 	nodes   []*node
 	cache   *resultCache
@@ -115,27 +118,17 @@ type Coordinator struct {
 	spill   *spillStore
 	metrics *fleetMetrics
 	slog    *slog.Logger
+	mux     *http.ServeMux
 
-	mu           sync.Mutex
-	jobs         map[string]*fleetJob
-	idem         map[string]string
-	nextID       int
-	closed       bool
-	phase        server.Phase
-	drainStarted time.Time
-
-	stop      chan struct{}
-	probeWG   sync.WaitGroup
-	jobWG     sync.WaitGroup
-	drainOnce sync.Once
-	mux       *http.ServeMux
+	mu      sync.Mutex
+	closed  bool
+	stop    chan struct{}
+	probeWG sync.WaitGroup
+	jobWG   sync.WaitGroup
 }
 
-// phaseRecovering is the coordinator-only boot phase: the ledger is being
-// replayed and admission sheds; it flips to serving before New returns.
-const phaseRecovering = server.Phase("recovering")
-
 // New returns a Coordinator over cfg.Nodes with its probe loop running.
+// With a DataDir it replays the write-ahead ledger before returning.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("fleet: no nodes configured")
@@ -184,13 +177,9 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheCapacity),
 		slog:  cfg.Logger,
-		jobs:  make(map[string]*fleetJob),
-		idem:  make(map[string]string),
-		phase: server.PhaseServing,
 		stop:  make(chan struct{}),
 	}
 	if cfg.DataDir != "" {
-		c.phase = phaseRecovering
 		var err error
 		if c.ledger, err = openLedgerStore(filepath.Join(cfg.DataDir, "ledger"), cfg.LedgerKeep, c.slog); err != nil {
 			return nil, err
@@ -211,6 +200,11 @@ func New(cfg Config) (*Coordinator, error) {
 		n.healthy.Store(true)
 		c.nodes = append(c.nodes, n)
 	}
+	c.Server = server.NewFrontEnd(server.Config{
+		DrainGrace: cfg.DrainGrace,
+		Logger:     cfg.Logger,
+		Registry:   cfg.Registry,
+	}, "f", executor{c})
 	c.metrics = newFleetMetrics(c, cfg.Registry)
 	c.cache.evictions = c.metrics.evictions
 	if c.spill != nil {
@@ -218,19 +212,18 @@ func New(cfg Config) (*Coordinator, error) {
 		c.spill.writes = c.metrics.spillWrites
 		c.spill.gc = c.metrics.spillGC
 	}
-	c.routes()
+	c.mux = http.NewServeMux()
+	c.mux.HandleFunc("GET /v1/jobs/{id}/report", c.handleReport)
+	c.mux.Handle("/", c.Server)
 	if c.ledger != nil {
 		// Replay the write-ahead ledger before serving: restore every
 		// journaled job (terminal jobs with their verdicts, in-flight and
-		// completed-but-unfetched jobs by re-adoption), rebind
-		// Idempotency-Keys, and only then flip the phase — so a client
-		// that was mid-poll when the old process died finds its job ID
-		// answering again, never a permanent 404.
+		// completed-but-unfetched jobs by re-adoption) under its old ID and
+		// Idempotency-Key, so a client that was mid-poll when the old
+		// process died finds its job answering again, never a permanent
+		// 404.
 		c.recover()
 	}
-	c.mu.Lock()
-	c.phase = server.PhaseServing
-	c.mu.Unlock()
 	if cfg.ProbeInterval > 0 {
 		c.probeWG.Add(1)
 		go c.probeLoop()
@@ -238,9 +231,11 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Registry returns the coordinator's metrics registry (also served from
-// GET /metrics).
-func (c *Coordinator) Registry() *obs.Registry { return c.cfg.Registry }
+// ServeHTTP serves the shared jobs API plus the coordinator-only
+// GET /v1/jobs/{id}/report.
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.mux.ServeHTTP(w, r)
+}
 
 // Close stops the probe loop. In-flight jobs keep running. For a full
 // shutdown that parks in-flight work for a restart, use Drain.
@@ -252,62 +247,6 @@ func (c *Coordinator) Close() {
 	}
 	c.mu.Unlock()
 	c.probeWG.Wait()
-}
-
-// errDrainStop is the cancel cause Drain hands in-flight jobs: unlike a
-// client cancel it is NOT a terminal verdict — the job stays non-terminal
-// in its ledger, exactly so the next boot re-adopts it.
-var errDrainStop = errors.New("fleet: coordinator draining; job parks for restart-resume")
-
-// Drain executes the coordinator's graceful shutdown: admission stops
-// (submissions and /readyz shed 503 + Retry-After), in-flight jobs are
-// told to park — their worker calls are canceled, but their ledgers keep
-// them non-terminal so a restart re-adopts them against workers that kept
-// computing — and once every job goroutine has settled (bounded by
-// DrainGrace) the ledger files are fsynced shut. Idempotent.
-func (c *Coordinator) Drain() {
-	c.drainOnce.Do(func() {
-		c.mu.Lock()
-		c.phase = server.PhaseDraining
-		c.drainStarted = time.Now()
-		var live []*fleetJob
-		for _, j := range c.jobs {
-			j.mu.Lock()
-			if !j.state.Terminal() {
-				live = append(live, j)
-			}
-			j.mu.Unlock()
-		}
-		c.mu.Unlock()
-		c.slog.Info("draining", "in_flight", len(live), "grace", c.cfg.DrainGrace)
-		for _, j := range live {
-			j.mu.Lock()
-			cancel := j.cancel
-			j.mu.Unlock()
-			if cancel != nil {
-				cancel(errDrainStop)
-			}
-		}
-		settled := make(chan struct{})
-		go func() { c.jobWG.Wait(); close(settled) }()
-		select {
-		case <-settled:
-		case <-time.After(c.cfg.DrainGrace):
-			c.slog.Warn("drain grace expired with jobs still settling")
-		}
-		c.Close()
-		c.mu.Lock()
-		jobs := c.jobs
-		c.phase = server.PhaseStopped
-		c.mu.Unlock()
-		// Seal every still-open ledger. Terminal jobs already closed
-		// theirs; this catches parked jobs, whose last synced frame is
-		// the re-adoption contract.
-		for _, j := range jobs {
-			j.led.close()
-		}
-		c.slog.Info("drained; ledger sealed")
-	})
 }
 
 // probeLoop refreshes every node's health on a fixed cadence. Probes run

@@ -282,7 +282,7 @@ func TestSimulateRejectsShardedSpec(t *testing.T) {
 		t.Fatal("pre-sharded spec accepted; the coordinator owns the split")
 	}
 	js := server.JobSpec{Kind: server.KindSimulate, Simulate: &spec}
-	if _, _, err := c.Submit("", js); err == nil {
+	if _, _, err := c.SubmitIdempotent("", js); err == nil {
 		t.Fatal("facade accepted a pre-sharded spec")
 	}
 }

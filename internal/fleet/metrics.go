@@ -1,18 +1,12 @@
 package fleet
 
-import (
-	"dnastore/internal/obs"
-	"dnastore/internal/server"
-)
+import "dnastore/internal/obs"
 
-// The fleet's metric surface. Two groups share one registry:
-//
-//   - dnasimd_fleet_*: coordinator-specific series — shard placement,
-//     cache effectiveness, hedging, erasures.
-//   - dnasimd_jobs_* / dnasimd_queue_depth / dnasimd_jobs_running: the
-//     same series a single dnasimd instance exports, fed by the HTTP
-//     façade. dnaload's settle-and-reconcile logic reads exactly these
-//     names, so a coordinator is a drop-in load-test target.
+// The fleet's metric surface: the dnasimd_fleet_* series — shard
+// placement, cache effectiveness, hedging, erasures, ledger and spill.
+// They share one registry with the job-lifecycle series the front-end
+// registers (dnasimd_jobs_*, dnasimd_queue_depth, ...), the same names a
+// single dnasimd exports, so a coordinator is a drop-in load-test target.
 type fleetMetrics struct {
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
@@ -28,11 +22,6 @@ type fleetMetrics struct {
 
 	recovered     *obs.Counter
 	ledgerReplays *obs.Counter
-
-	submitted   *obs.Counter
-	idemReplays *obs.Counter
-	finished    map[server.JobState]*obs.Counter
-	shed        map[string]*obs.Counter
 }
 
 func newFleetMetrics(c *Coordinator, reg *obs.Registry) *fleetMetrics {
@@ -64,24 +53,6 @@ func newFleetMetrics(c *Coordinator, reg *obs.Registry) *fleetMetrics {
 	m.ledgerReplays = reg.Counter("dnasimd_fleet_ledger_replays_total",
 		"Job ledger files replayed at boot.")
 
-	m.submitted = reg.Counter("dnasimd_jobs_submitted_total",
-		"Jobs admitted by the coordinator facade.")
-	m.idemReplays = reg.Counter("dnasimd_jobs_idempotent_replays_total",
-		"Submissions answered with an already-admitted job via Idempotency-Key.")
-	finHelp := "Jobs reaching a terminal state, by outcome."
-	m.finished = map[server.JobState]*obs.Counter{
-		server.StateDone:     reg.Counter(`dnasimd_jobs_finished_total{outcome="done"}`, finHelp),
-		server.StateFailed:   reg.Counter(`dnasimd_jobs_finished_total{outcome="failed"}`, finHelp),
-		server.StateCanceled: reg.Counter(`dnasimd_jobs_finished_total{outcome="canceled"}`, finHelp),
-	}
-	shedHelp := "Submissions refused with 503 + Retry-After, by reason."
-	m.shed = map[string]*obs.Counter{
-		shedReasonDraining:   reg.Counter(`dnasimd_jobs_shed_total{reason="draining"}`, shedHelp),
-		shedReasonRecovering: reg.Counter(`dnasimd_jobs_shed_total{reason="recovering"}`, shedHelp),
-		shedReasonLedger:     reg.Counter(`dnasimd_jobs_shed_total{reason="ledger_error"}`, shedHelp),
-		shedReasonDeadline:   reg.Counter(`dnasimd_jobs_shed_total{reason="deadline_expired"}`, shedHelp),
-	}
-
 	reg.GaugeFunc("dnasimd_fleet_nodes_eligible", "Worker nodes currently healthy with a non-open breaker.",
 		func() float64 {
 			n := 0
@@ -98,9 +69,5 @@ func newFleetMetrics(c *Coordinator, reg *obs.Registry) *fleetMetrics {
 		reg.GaugeFunc("dnasimd_fleet_spill_entries", "Shard results resident in the durable spill store.",
 			func() float64 { return float64(c.spill.entries()) })
 	}
-	reg.GaugeFunc("dnasimd_queue_depth", "Jobs admitted but not yet executing (the facade runs jobs immediately, so 0).",
-		func() float64 { return 0 })
-	reg.GaugeFunc("dnasimd_jobs_running", "Facade jobs currently executing across the fleet.",
-		func() float64 { return float64(c.runningJobs()) })
 	return m
 }

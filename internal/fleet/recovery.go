@@ -49,88 +49,60 @@ func (c *Coordinator) recover() {
 	}
 }
 
-// adoptRecord turns one replayed ledger record back into a live job table
-// entry. Reports whether the job was re-adopted (re-run) as opposed to
-// restored in a terminal state.
+// adoptRecord publishes one replayed ledger record through the front-end
+// under its old ID and Idempotency-Key. Reports whether the job was
+// re-adopted (re-run) as opposed to restored in a terminal state.
 func (c *Coordinator) adoptRecord(rec *ledgerRecord) bool {
-	j := &fleetJob{
-		id:        rec.accepted.ID,
-		spec:      rec.accepted.Spec,
-		created:   time.UnixMilli(rec.accepted.CreatedUnixMS),
-		led:       rec.led,
-		recovered: true,
-		state:     server.StateQueued,
-		done:      make(chan struct{}),
+	a := rec.accepted
+	run := &execRecord{led: rec.led}
+	restored := server.Restored{
+		ID: a.ID, Key: a.Key, Spec: a.Spec,
+		Created: time.UnixMilli(a.CreatedUnixMS), Ext: run,
 	}
-
 	// Decide the job's fate before publishing it, so no client observes an
 	// intermediate state.
-	rerun := false
 	switch {
-	case rec.accepted.Spec.Validate() != nil:
+	case a.Spec.Validate() != nil:
 		// The spec round-tripped through JSON and no longer validates —
 		// a hand-edited or version-skewed ledger. The honest verdict is an
 		// explicit failure under the old ID, not a silent drop.
-		err := fmt.Errorf("fleet: recovered spec no longer validates: %w", rec.accepted.Spec.Validate())
-		c.slog.Warn("recovered job failed validation", "job", j.id, "error", err)
-		c.settleRecovered(j, server.StateFailed, nil, Report{}, err)
+		restored.State = server.StateFailed
+		restored.Err = fmt.Errorf("fleet: recovered spec no longer validates: %w", a.Spec.Validate())
+		c.slog.Warn("recovered job failed validation", "job", a.ID, "error", restored.Err)
 	case rec.finished == nil:
 		// In-flight at the crash (or parked by a drain): re-adopt.
-		rerun = true
 	case rec.finished.State == string(server.StateFailed) ||
 		rec.finished.State == string(server.StateCanceled):
-		var err error
+		restored.State = server.JobState(rec.finished.State)
 		if rec.finished.Error != "" {
-			err = errors.New(rec.finished.Error)
+			restored.Err = errors.New(rec.finished.Error)
 		}
-		c.settleRecovered(j, server.JobState(rec.finished.State), nil, Report{}, err)
 	case rec.finished.State == string(server.StateDone):
-		if c.restoreDone(j, rec.accepted.ShardClusters) {
-			c.slog.Info("job restored from spill", "job", j.id)
-		} else {
-			// The spill no longer holds every shard (GC, bit rot, or a
-			// non-simulate kind). Determinism makes recomputation safe:
-			// the re-run produces the same bytes the client was promised.
-			rerun = true
+		if data, rep, ok := c.restoreDone(a.Spec, a.ShardClusters); ok {
+			restored.State, restored.Result, run.report = server.StateDone, data, rep
+			c.slog.Info("job restored from spill", "job", a.ID)
 		}
+		// Otherwise the spill no longer holds every shard (GC, bit rot, or
+		// a non-simulate kind). Determinism makes recomputation safe: the
+		// re-run produces the same bytes the client was promised.
 	default:
 		c.slog.Warn("recovered job carries unknown terminal state; re-running",
-			"job", j.id, "state", rec.finished.State)
-		rerun = true
+			"job", a.ID, "state", rec.finished.State)
 	}
 
-	c.mu.Lock()
-	c.jobs[j.id] = j
-	if key := rec.accepted.Key; key != "" {
-		c.idem[key] = j.id
+	run.job = c.Restore(restored)
+	if restored.State.Terminal() {
+		// Finished in a previous process life; this life merely remembers
+		// the verdict.
+		rec.led.close()
+		c.ledger.retire(rec.led.path)
+		return false
 	}
-	var n int
-	if _, err := fmt.Sscanf(j.id, "f%06d", &n); err == nil && n > c.nextID {
-		c.nextID = n
-	}
-	if rerun {
-		c.jobWG.Add(1)
-	}
-	c.mu.Unlock()
-
-	if rerun {
-		c.metrics.recovered.Inc()
-		j.led.replayed()
-		c.slog.Info("job re-adopted from ledger", "job", j.id, "kind", string(j.spec.Kind))
-		go c.runJob(j)
-	}
-	return rerun
-}
-
-// settleRecovered pins a recovered job to a terminal state without
-// re-counting it in the finished metrics — it finished in a previous
-// process life; this life merely remembers the verdict.
-func (c *Coordinator) settleRecovered(j *fleetJob, state server.JobState, data []byte, rep Report, err error) {
-	j.finish(state, data, rep, err)
-	j.led.close()
-	if j.led != nil {
-		c.ledger.retire(j.led.path)
-	}
+	c.metrics.recovered.Inc()
+	rec.led.replayed()
+	c.slog.Info("job re-adopted from ledger", "job", a.ID, "kind", string(a.Spec.Kind))
+	c.start(run.job)
+	return true
 }
 
 // restoreDone rebuilds a finished simulate job's merged result purely from
@@ -141,16 +113,16 @@ func (c *Coordinator) settleRecovered(j *fleetJob, state server.JobState, data [
 //
 // Shards read back also seed the memory cache, so even a failed restore
 // leaves the subsequent re-run mostly cache-warm.
-func (c *Coordinator) restoreDone(j *fleetJob, shardClusters int) bool {
-	if c.spill == nil || j.spec.Kind != server.KindSimulate || j.spec.Simulate == nil {
-		return false
+func (c *Coordinator) restoreDone(js server.JobSpec, shardClusters int) ([]byte, Report, bool) {
+	if c.spill == nil || js.Kind != server.KindSimulate || js.Simulate == nil {
+		return nil, Report{}, false
 	}
-	spec := *j.spec.Simulate
+	spec := *js.Simulate
 	if spec.ClusterFirst != 0 || spec.ClusterCount != 0 {
-		return false
+		return nil, Report{}, false
 	}
 	if err := spec.Validate(); err != nil {
-		return false
+		return nil, Report{}, false
 	}
 	if shardClusters <= 0 {
 		shardClusters = c.cfg.ShardClusters
@@ -161,7 +133,7 @@ func (c *Coordinator) restoreDone(j *fleetJob, shardClusters int) bool {
 	for i, sh := range shards {
 		data, ok := c.spill.get(sh.key)
 		if !ok {
-			return false
+			return nil, Report{}, false
 		}
 		c.cache.seed(sh.key, data)
 		buf.Write(data)
@@ -170,6 +142,5 @@ func (c *Coordinator) restoreDone(j *fleetJob, shardClusters int) bool {
 		c.metrics.cacheHits.Inc()
 		c.metrics.shardsDone.Inc()
 	}
-	c.settleRecovered(j, server.StateDone, buf.Bytes(), rep, nil)
-	return true
+	return buf.Bytes(), rep, true
 }

@@ -166,12 +166,3 @@ func (b *Batch) Unbind() {
 	b.src.Backstep(b.n - b.i)
 	b.src, b.i, b.n = nil, 0, 0
 }
-
-// Discard detaches the batch without rewinding: filled but unconsumed
-// draws are dropped, leaving the generator ahead of where per-call use
-// would have put it. This is the "fast RNG order" escape hatch — cheaper
-// than Unbind, still deterministic per seed, but the stream position no
-// longer matches unbatched draw accounting.
-func (b *Batch) Discard() {
-	b.src, b.i, b.n = nil, 0, 0
-}

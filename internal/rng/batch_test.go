@@ -116,32 +116,6 @@ func TestBatchRebind(t *testing.T) {
 	}
 }
 
-// TestBatchDiscardAdvances: Discard must skip the unconsumed draws — the
-// documented fast-RNG-order behaviour — while staying deterministic.
-func TestBatchDiscardAdvances(t *testing.T) {
-	a1, a2 := New(11), New(11)
-	use := func(r *RNG) uint64 {
-		var b Batch
-		b.Bind(r, 64)
-		b.Uint64() // consume 1 of 64
-		b.Discard()
-		return r.Uint64()
-	}
-	if use(a1) != use(a2) {
-		t.Fatal("Discard is not deterministic")
-	}
-	// Against a parity generator, the post-Discard position is ahead.
-	a3, ref := New(11), New(11)
-	var b Batch
-	b.Bind(a3, 64)
-	b.Uint64()
-	b.Discard()
-	ref.Uint64()
-	if a3.Uint64() == ref.Uint64() {
-		t.Fatal("Discard did not advance past the unconsumed draws")
-	}
-}
-
 // TestBatchIntnBounds sanity-checks range and panic behaviour.
 func TestBatchIntnBounds(t *testing.T) {
 	r := New(3)

@@ -199,7 +199,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("rotten load %d: %v (%s)", i, st.State, st.Error)
 		}
 	}
-	if st := s.breaker.State(); st != BreakerOpen {
+	if st := local(s).breaker.State(); st != BreakerOpen {
 		t.Fatalf("breaker = %v after consecutive load failures, want open", st)
 	}
 
@@ -230,7 +230,7 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 	if got, _ := good.Result(); !bytes.Equal(got, payload) {
 		t.Errorf("recovered %q, want %q", got, payload)
 	}
-	if bst := s.breaker.State(); bst != BreakerClosed {
+	if bst := local(s).breaker.State(); bst != BreakerClosed {
 		t.Errorf("breaker = %v after successful probe, want closed", bst)
 	}
 
@@ -355,8 +355,8 @@ func TestChaosDrainCheckpointsAndResumesByteIdentical(t *testing.T) {
 // journalName mirrors the server's fingerprint-derived checkpoint name.
 func journalName(t *testing.T, spec JobSpec) string {
 	t.Helper()
-	s := &Server{cfg: Config{DataDir: "x"}}
-	path := s.jobCheckpointPath(&Job{Spec: spec})
+	e := &localExec{cfg: Config{DataDir: "x"}}
+	path := e.jobCheckpointPath(&Job{Spec: spec})
 	if path == "" {
 		t.Fatal("spec has no checkpoint path")
 	}

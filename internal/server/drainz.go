@@ -80,5 +80,5 @@ func (s *Server) DrainzSnapshot() Drainz {
 }
 
 func (s *Server) handleDrainz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.DrainzSnapshot())
+	WriteJSON(w, http.StatusOK, s.DrainzSnapshot())
 }

@@ -355,8 +355,15 @@ type Job struct {
 	ID string
 	// Spec is the validated submission.
 	Spec JobSpec
+	// Ext is executor-owned state (the coordinator's ledger and shard
+	// report). It is set before the job is published and the front-end
+	// never reads it.
+	Ext any
 	// created stamps admission; job latency metrics measure from here.
 	created time.Time
+	// counts is the front-end's live-state tally this job reports its
+	// transitions to.
+	counts *jobCounts
 
 	mu       sync.Mutex
 	state    JobState
@@ -379,11 +386,61 @@ type Job struct {
 	lastProgress atomic.Int64
 }
 
-// newJob returns a queued job.
-func newJob(id string, spec JobSpec) *Job {
-	j := &Job{ID: id, Spec: spec, created: time.Now(), state: StateQueued, done: make(chan struct{})}
+// jobCounts tallies jobs by live state, so the gauges, /healthz and the
+// Retry-After estimate never scan the job table.
+type jobCounts struct{ queued, running atomic.Int64 }
+
+func (c *jobCounts) add(st JobState, d int64) {
+	switch st {
+	case StateQueued:
+		c.queued.Add(d)
+	case StateRunning:
+		c.running.Add(d)
+	}
+}
+
+// newJob returns a queued job reporting to counts.
+func newJob(id string, spec JobSpec, counts *jobCounts) *Job {
+	j := &Job{ID: id, Spec: spec, created: time.Now(), state: StateQueued, counts: counts, done: make(chan struct{})}
+	counts.add(StateQueued, 1)
 	j.touch()
 	return j
+}
+
+// setStateLocked moves the job to st, keeping the live-state tally
+// current. Callers hold j.mu.
+func (j *Job) setStateLocked(st JobState) {
+	j.counts.add(j.state, -1)
+	j.counts.add(st, 1)
+	j.state = st
+}
+
+// Begin starts an execution attempt: a queued job becomes running and
+// cancel becomes its interrupt hook, in one critical section, so a racing
+// Cancel either already settled the job (Begin reports false) or will find
+// the hook. It returns the attempt number.
+func (j *Job) Begin(cancel func(cause error)) (attempt int, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return 0, false
+	}
+	j.setStateLocked(StateRunning)
+	j.attempts++
+	j.cancel = cancel
+	return j.attempts, true
+}
+
+// Interrupt cancels the job's running attempt with cause and reports
+// whether there was one; a job not running is left alone.
+func (j *Job) Interrupt(cause error) bool {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel(cause)
+	}
+	return cancel != nil
 }
 
 // touch stamps progress now; called at attempt start and per cluster.
@@ -447,7 +504,7 @@ func (j *Job) finishLocked(state JobState, result []byte, err error) bool {
 	if j.state.Terminal() {
 		return false
 	}
-	j.state = state
+	j.setStateLocked(state)
 	j.result = result
 	j.err = err
 	j.cancel = nil

@@ -1,7 +1,17 @@
 // Package server implements dnasimd: a hardened, long-running job service
 // over the simulation and retrieval primitives built in earlier layers.
 // Clients submit simulation and retrieval jobs over HTTP (submit / status
-// / result / cancel); a supervised worker pool executes them.
+// / result / cancel).
+//
+// The package is one jobs front-end over a small Executor interface. The
+// front-end owns everything a client can observe: the job table and ID
+// allocation, Idempotency-Key replay, admission order and shedding with
+// one Retry-After clamp, exactly-once finish and the dnasimd_jobs_*
+// metrics, cancel, drain phases, and the HTTP API. An executor only runs
+// what the front-end admitted. New wires the local executor — a bounded
+// queue and a supervised worker pool; internal/fleet wires a coordinator
+// that shards jobs across worker nodes behind the same front-end, so both
+// modes answer, shed and export metrics identically.
 //
 // Robustness is layered through the whole request lifecycle:
 //
@@ -27,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"math"
 	"net/http"
@@ -102,16 +111,51 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// Server is the dnasimd job service. It implements http.Handler; the
+// Executor runs the jobs the front-end admits. It holds only the calls the
+// front-end makes; everything a client can observe stays in the Server.
+// An executor starts execution itself: the local workers pop what Admit
+// queued, and the fleet coordinator starts one goroutine per job in Admit,
+// so no local Workers or QueueCapacity default caps a fleet.
+type Executor interface {
+	// Admit takes a new job, which already has its ID, into execution. It
+	// runs under the admission lock and before the job is published, so it
+	// must not block beyond local I/O nor call back into the Server. An
+	// error refuses the job: a *ShedError or ErrQueueFull sheds it with
+	// 503, anything else rejects it with 400.
+	Admit(j *Job, key string) error
+	// Drain stops execution once admission has closed: every job settles
+	// or, where the executor can resume it later, parks. It returns when
+	// no attempt is running any more (or the drain grace gave up on them).
+	Drain()
+	// Ready is nil while the executor can take work; otherwise the error
+	// says why, and /readyz answers 503 with it.
+	Ready() error
+	// Health is the executor's own view in the /healthz payload.
+	Health() any
+}
+
+// ShedError refuses an admission for a transient reason: the client gets
+// 503 + Retry-After, and the refusal is counted under
+// dnasimd_jobs_shed_total{reason=Reason}.
+type ShedError struct {
+	Reason string
+	Err    error
+}
+
+func (e *ShedError) Error() string {
+	return fmt.Sprintf("server: not accepting jobs (%s): %v", e.Reason, e.Err)
+}
+func (e *ShedError) Unwrap() error { return e.Err }
+
+// Server is the dnasimd jobs front-end. It implements http.Handler; the
 // binary wires it to a net/http.Server and signal handling.
 type Server struct {
 	cfg      Config
-	queue    *jobQueue
-	dog      *watchdog
-	breaker  *Breaker
-	metrics  *serverMetrics
+	exec     Executor
+	idPrefix string
+	metrics  *frontMetrics
 	slog     *slog.Logger
-	workerWG sync.WaitGroup
+	counts   jobCounts
 
 	mu           sync.Mutex
 	phase        Phase
@@ -121,13 +165,25 @@ type Server struct {
 	drainStarted time.Time
 
 	drainOnce sync.Once
-	drained   chan struct{}
 
 	mux *http.ServeMux
 }
 
-// New starts a serving Server: workers and watchdog are live on return.
+// New starts a serving single-node Server over the local executor:
+// workers and watchdog are live on return.
 func New(cfg Config) *Server {
+	e := &localExec{}
+	s := NewFrontEnd(cfg, "j", e)
+	e.start(s)
+	s.mux.HandleFunc("GET /drainz", s.handleDrainz)
+	return s
+}
+
+// NewFrontEnd returns a serving front-end over exec, allocating job IDs as
+// idPrefix plus a six-digit sequence. It applies every Config default; the
+// front-end itself reads only DrainGrace, EstimatedJobTime and Workers
+// (the Retry-After hints), Logf, Logger and Registry.
+func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 64
 	}
@@ -162,36 +218,16 @@ func New(cfg Config) *Server {
 		cfg.Registry = obs.NewRegistry()
 	}
 	s := &Server{
-		cfg:     cfg,
-		queue:   newJobQueue(cfg.QueueCapacity),
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		slog:    cfg.Logger,
-		phase:   PhaseServing,
-		jobs:    make(map[string]*Job),
-		idem:    make(map[string]string),
-		drained: make(chan struct{}),
+		cfg:      cfg,
+		exec:     exec,
+		idPrefix: idPrefix,
+		slog:     cfg.Logger,
+		phase:    PhaseServing,
+		jobs:     make(map[string]*Job),
+		idem:     make(map[string]string),
 	}
-	// Supervision events flow into the metric surface through hooks so the
-	// watchdog and breaker stay observable without importing obs
-	// themselves. Both hooks are installed before any goroutine that can
-	// fire them starts (the watchdog scan loop starts inside newWatchdog;
-	// the breaker is only exercised by workers started below).
-	s.dog = newWatchdog(cfg.WatchdogInterval, cfg.StallAfter, func(j *Job) {
-		s.metrics.kills.Inc()
-		s.slog.Warn("watchdog kill", "job", j.ID, "stall_after", s.cfg.StallAfter)
-	})
-	s.breaker.onTransition = func(from, to BreakerState) {
-		if c := s.metrics.breakerTo[to]; c != nil {
-			c.Inc()
-		}
-		s.slog.Warn("breaker transition", "from", string(from), "to", string(to))
-	}
-	s.metrics = newServerMetrics(s, cfg.Registry)
+	s.metrics = newFrontMetrics(s, cfg.Registry)
 	s.routes()
-	s.workerWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
@@ -202,14 +238,21 @@ func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) 
 // GET /metrics).
 func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 
-// finishJob moves a job to a terminal state and, if this call actually
+// Finish moves a job to a terminal state and, if this call actually
 // performed the transition, records outcome and latency exactly once.
-// Every server-side finish goes through here; Job.finish stays idempotent
-// underneath, so racing finishers cannot double-count.
-func (s *Server) finishJob(j *Job, state JobState, result []byte, err error) {
+// Every executor-side finish goes through here; the transition itself is
+// idempotent, so racing finishers cannot double-count. It reports whether
+// this call made the transition.
+func (s *Server) Finish(j *Job, state JobState, result []byte, err error) bool {
 	if !j.finish(state, result, err) {
-		return
+		return false
 	}
+	s.recordFinish(j, state, err)
+	return true
+}
+
+// recordFinish counts and logs a terminal transition that just happened.
+func (s *Server) recordFinish(j *Job, state JobState, err error) {
 	s.metrics.observeFinish(j, state)
 	attrs := []any{"job", j.ID, "kind", string(j.Spec.Kind), "state", string(state),
 		"attempts", j.Attempts(), "elapsed", time.Since(j.created).Round(time.Millisecond)}
@@ -233,8 +276,8 @@ func (s *Server) Phase() Phase {
 var ErrDeadlineExpired = errors.New("server: job deadline already expired at admission")
 
 // Submit validates and admits a job, returning it, or an admission error
-// (ErrQueueFull / ErrQueueClosed / ErrDeadlineExpired) the HTTP layer maps
-// to 503 / 504.
+// (ErrQueueFull / ErrQueueClosed / *ShedError / ErrDeadlineExpired) the
+// HTTP layer maps to 503 / 504.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	j, _, err := s.SubmitIdempotent("", spec)
 	return j, err
@@ -243,9 +286,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 // SubmitIdempotent is Submit with an optional idempotency key. A non-empty
 // key that was already admitted returns the existing job with replayed =
 // true instead of creating a duplicate — the contract that makes a client
-// retry of a submit that raced a success safe. The key→job binding is made
-// under the same critical section as admission, so two concurrent submits
-// with the same key can never both create a job.
+// retry of a submit that raced a success safe. The checks run in one
+// order: replay, then deadline, then phase and admission. So a client that
+// lost its 202 gets its job back even once the server is draining. The
+// key→job binding is made under the same critical section as admission, so
+// two concurrent submits with the same key can never both create a job.
 func (s *Server) SubmitIdempotent(key string, spec JobSpec) (j *Job, replayed bool, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, fmt.Errorf("server: invalid job: %w", err)
@@ -258,6 +303,7 @@ func (s *Server) SubmitIdempotent(key string, spec JobSpec) (j *Job, replayed bo
 				// Replay everything except a checkpointed job: resumable
 				// means "resubmit to continue", so the retry admits a fresh
 				// job (which picks the journal back up) and rebinds the key.
+				s.metrics.idemReplays.Inc()
 				return prev, true, nil
 			}
 		}
@@ -268,22 +314,56 @@ func (s *Server) SubmitIdempotent(key string, spec JobSpec) (j *Job, replayed bo
 	if s.phase != PhaseServing {
 		return nil, false, ErrQueueClosed
 	}
-	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
-	j = newJob(id, spec)
-	// push happens inside s.mu: it never blocks (the queue is bounded and
-	// sheds instead of waiting), and holding the lock closes the window in
-	// which a racing same-key submit could observe a half-admitted job.
-	if err := s.queue.push(j); err != nil {
+	id := fmt.Sprintf("%s%06d", s.idPrefix, s.nextID+1)
+	j = newJob(id, spec, &s.counts)
+	if err := s.exec.Admit(j, key); err != nil {
+		s.counts.add(StateQueued, -1) // never published
 		return nil, false, err
 	}
+	s.nextID++
 	s.jobs[id] = j
 	if key != "" {
 		s.idem[key] = id
 	}
 	s.metrics.submitted.Inc()
-	s.slog.Info("job admitted", "job", id, "kind", string(spec.Kind), "queue_depth", s.queue.depth())
+	s.slog.Info("job admitted", "job", id, "kind", string(spec.Kind), "queue_depth", s.counts.queued.Load())
 	return j, false, nil
+}
+
+// Restored is a job an executor recovered from its own durable records.
+type Restored struct {
+	ID, Key string
+	Spec    JobSpec
+	Created time.Time
+	// State, when terminal, pins a job that finished in an earlier process
+	// life, with its Result and Err. Otherwise the job is published queued
+	// and the executor runs it again.
+	State  JobState
+	Result []byte
+	Err    error
+	Ext    any
+}
+
+// Restore publishes a recovered job under its original ID and
+// Idempotency-Key and moves ID allocation past it. A terminal verdict is
+// not counted again: the job finished in an earlier process life, and this
+// one merely remembers it.
+func (s *Server) Restore(r Restored) *Job {
+	j := newJob(r.ID, r.Spec, &s.counts)
+	j.created, j.Ext = r.Created, r.Ext
+	if r.State.Terminal() {
+		j.finish(r.State, r.Result, r.Err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobs[r.ID] = j
+	if r.Key != "" {
+		s.idem[r.Key] = r.ID
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(r.ID, s.idPrefix)); err == nil && n > s.nextID {
+		s.nextID = n
+	}
+	return j
 }
 
 // Job returns a submitted job by ID.
@@ -308,21 +388,17 @@ func (s *Server) Cancel(id string) (JobState, error) {
 		j.mu.Unlock()
 		return st, nil
 	case j.state == StateQueued:
-		// Parked; the worker skips terminal jobs on pop.
+		// Settled here; the executor skips terminal jobs when it gets to
+		// them (Begin reports false).
 		transitioned := j.finishLocked(StateCanceled, nil, errCanceledByClient)
 		j.mu.Unlock()
 		if transitioned {
-			s.metrics.observeFinish(j, StateCanceled)
-			s.slog.Info("job finished", "job", j.ID, "kind", string(j.Spec.Kind),
-				"state", string(StateCanceled), "error", errCanceledByClient.Error())
+			s.recordFinish(j, StateCanceled, errCanceledByClient)
 		}
 		return StateCanceled, nil
 	default:
-		cancel := j.cancel
 		j.mu.Unlock()
-		if cancel != nil {
-			cancel(errCanceledByClient)
-		}
+		j.Interrupt(errCanceledByClient)
 		return StateRunning, nil
 	}
 }
@@ -331,28 +407,39 @@ func (s *Server) Cancel(id string) (JobState, error) {
 // stops being advice and starts being a bug amplifier.
 const maxRetryAfterSeconds = 3600
 
-// retryAfter estimates when a shed client should come back: the queue
-// backlog divided across the worker pool at the configured per-job
-// estimate. RFC 9110 §10.2.3 defines Retry-After delta-seconds as a
-// non-negative decimal integer, and a 0 (or fractional) value makes
-// well-behaved clients retry immediately — so the estimate is rounded up
-// and clamped into [1, maxRetryAfterSeconds]. The clamp comparisons are
-// written to also catch a NaN/Inf estimate (misconfigured
-// EstimatedJobTime) before the float→int conversion, whose behavior is
-// undefined out of range.
-func (s *Server) retryAfter() int {
+// retryAfter is the Retry-After hint for a refused request, RFC 9110
+// delta-seconds. While draining or stopped it is the remainder of the
+// drain window: admission never resumes in this process, so by then this
+// instance has exited and its replacement (or the load balancer) can take
+// the retry — and the shed path and /readyz hear the same number. A
+// queue_full shed gets the backlog estimate: queued plus running jobs
+// spread across the workers at EstimatedJobTime each. Every other refusal
+// (an unready executor, a ledger hiccup) clears on the order of probe
+// ticks, so its hint is the 1-second floor.
+func (s *Server) retryAfter(reason string) int {
 	s.mu.Lock()
 	phase, drainStarted := s.phase, s.drainStarted
 	s.mu.Unlock()
-	if phase == PhaseDraining || phase == PhaseStopped {
-		return s.drainRetryAfter(drainStarted)
+	var sec float64
+	switch {
+	case phase == PhaseDraining || phase == PhaseStopped:
+		rem := s.cfg.DrainGrace
+		if !drainStarted.IsZero() {
+			rem -= time.Since(drainStarted)
+		}
+		sec = rem.Seconds()
+	case reason == shedQueueFull:
+		backlog := s.counts.queued.Load() + s.counts.running.Load()
+		sec = s.cfg.EstimatedJobTime.Seconds() * float64(backlog+1) / float64(max(s.cfg.Workers, 1))
 	}
-	backlog := s.queue.depth() + s.dog.runningCount()
-	workers := s.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sec := s.cfg.EstimatedJobTime.Seconds() * float64(backlog+1) / float64(workers)
+	return clampRetryAfter(sec)
+}
+
+// clampRetryAfter rounds sec up into [1, maxRetryAfterSeconds]. A 0 (or
+// fractional) Retry-After makes well-behaved clients retry immediately,
+// and the comparisons also catch a NaN/Inf estimate before the float→int
+// conversion, whose behavior is undefined out of range.
+func clampRetryAfter(sec float64) int {
 	switch {
 	case !(sec > 1): // ≤1, or NaN
 		return 1
@@ -362,35 +449,13 @@ func (s *Server) retryAfter() int {
 	return int(math.Ceil(sec))
 }
 
-// drainRetryAfter is the Retry-After hint for a non-serving instance. The
-// backlog estimate is meaningless here — admission never resumes in this
-// process — so the honest hint is the remainder of the drain window: by
-// then this instance has exited and its replacement (or the load balancer)
-// can take the retry. Both the shed path and /readyz use it, so readiness
-// probes and shed clients hear the same number.
-func (s *Server) drainRetryAfter(drainStarted time.Time) int {
-	rem := s.cfg.DrainGrace
-	if !drainStarted.IsZero() {
-		rem -= time.Since(drainStarted)
-	}
-	sec := math.Ceil(rem.Seconds())
-	switch {
-	case !(sec > 1): // ≤1, or NaN
-		return 1
-	case sec >= maxRetryAfterSeconds:
-		return maxRetryAfterSeconds
-	}
-	return int(sec)
-}
-
 // Drain executes the graceful shutdown state machine:
 //
-//	serving → draining: admission stops (submissions and requeues shed;
-//	  /readyz flips to 503), queued jobs are canceled, and running
-//	  simulate jobs with a journal are interrupted so they checkpoint.
-//	draining: remaining in-flight jobs get up to DrainGrace to finish,
-//	  then are canceled.
-//	→ stopped: every worker has exited; /healthz reports "stopped".
+//	serving → draining: admission stops (submissions shed; /readyz flips
+//	  to 503) and the executor drains: the local one cancels queued jobs,
+//	  checkpoints what it can and gives the rest DrainGrace; the fleet
+//	  parks in-flight jobs in their ledgers for a restart.
+//	→ stopped: no attempt runs any more; /healthz answers 503.
 //
 // Drain is idempotent and returns once the server is stopped.
 func (s *Server) Drain() {
@@ -400,60 +465,16 @@ func (s *Server) Drain() {
 		s.drainStarted = time.Now()
 		s.mu.Unlock()
 		s.logf("drain: admission stopped")
-
-		// Shed the queue: those jobs never started, so there is nothing
-		// to checkpoint.
-		for _, j := range s.queue.close() {
-			s.finishJob(j, StateCanceled, nil, errDraining)
-		}
-
-		// Interrupt checkpointable in-flight jobs: their progress is
-		// durable, so the fastest correct exit is "journal and park".
-		// Everything else keeps running within the grace window.
-		running := s.runningJobs()
-		for _, j := range running {
-			if s.jobCheckpointPath(j) != "" {
-				j.mu.Lock()
-				cancel := j.cancel
-				j.mu.Unlock()
-				if cancel != nil {
-					cancel(errDraining)
-				}
-			}
-		}
-
-		workersDone := make(chan struct{})
-		go func() {
-			s.workerWG.Wait()
-			close(workersDone)
-		}()
-		select {
-		case <-workersDone:
-		case <-time.After(s.cfg.DrainGrace):
-			s.logf("drain: grace expired, canceling stragglers")
-			for _, j := range s.runningJobs() {
-				j.mu.Lock()
-				cancel := j.cancel
-				j.mu.Unlock()
-				if cancel != nil {
-					cancel(errDraining)
-				}
-			}
-			<-workersDone
-		}
-
-		s.dog.close()
+		s.exec.Drain()
 		s.mu.Lock()
 		s.phase = PhaseStopped
 		s.mu.Unlock()
 		s.logf("drain: stopped")
-		close(s.drained)
 	})
-	<-s.drained
 }
 
-// runningJobs snapshots jobs currently in StateRunning.
-func (s *Server) runningJobs() []*Job {
+// RunningJobs snapshots jobs currently in StateRunning.
+func (s *Server) RunningJobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Job
@@ -467,11 +488,13 @@ func (s *Server) runningJobs() []*Job {
 
 // Health is the /healthz payload.
 type Health struct {
-	Phase      Phase        `json:"phase"`
-	QueueDepth int          `json:"queue_depth"`
-	Running    int          `json:"running"`
-	Breaker    BreakerState `json:"breaker"`
-	Jobs       int          `json:"jobs"`
+	Phase      Phase `json:"phase"`
+	QueueDepth int   `json:"queue_depth"`
+	Running    int   `json:"running"`
+	Jobs       int   `json:"jobs"`
+	// Executor is the executor's own view: the local I/O breaker, or the
+	// fleet's per-node health.
+	Executor any `json:"executor,omitempty"`
 }
 
 // HealthSnapshot returns the current health view.
@@ -482,14 +505,15 @@ func (s *Server) HealthSnapshot() Health {
 	s.mu.Unlock()
 	return Health{
 		Phase:      phase,
-		QueueDepth: s.queue.depth(),
-		Running:    s.dog.runningCount(),
-		Breaker:    s.breaker.State(),
+		QueueDepth: int(s.counts.queued.Load()),
+		Running:    int(s.counts.running.Load()),
 		Jobs:       jobs,
+		Executor:   s.exec.Health(),
 	}
 }
 
-// routes builds the HTTP mux.
+// routes builds the HTTP mux. Routes that exist in one mode only are
+// mounted by that mode's constructor beside these.
 func (s *Server) routes() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -498,7 +522,6 @@ func (s *Server) routes() {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /drainz", s.handleDrainz)
 	mux.Handle("GET /metrics", s.cfg.Registry.Handler())
 	s.mux = mux
 }
@@ -530,113 +553,77 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"elapsed", time.Since(start).Round(time.Microsecond))
 }
 
-// BodyChecksumHeader carries an FNV-64a hash (hex) of the response body.
-// HTTP framing protects against truncation but not against bytes flipped
-// in flight that happen to keep the framing valid — a mangled job ID
-// inside otherwise-parseable JSON, or a silently corrupted result
-// payload. The client recomputes the hash over the received body and
-// treats a mismatch as a transport fault to retry, never data to act on.
-const BodyChecksumHeader = "X-Dnasimd-Body-Fnv64a"
-
-// bodyChecksum renders the FNV-64a of a response body for the header.
-func bodyChecksum(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// writeJSON writes a JSON response with its body checksum header.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		buf = []byte(`{"error":"encode response"}`)
-	}
-	buf = append(buf, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(BodyChecksumHeader, bodyChecksum(buf))
-	w.WriteHeader(code)
-	w.Write(buf)
-}
-
-// shed answers a rejected submission: 503 with a Retry-After hint, the
-// admission-control contract.
+// shed answers a refused submission: 503 with a Retry-After hint, the
+// admission-control contract, counted by reason.
 func (s *Server) shed(w http.ResponseWriter, reason string) {
-	switch reason {
-	case "queue full":
-		s.metrics.shedFull.Inc()
-	case "draining":
-		s.metrics.shedDraining.Inc()
+	if c := s.metrics.shed[reason]; c != nil {
+		c.Inc()
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": reason})
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(reason)))
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": reason})
 }
-
-// IdempotencyKeyHeader carries the client's submission identity. Retrying
-// a submit with the same key returns the originally admitted job (HTTP 200
-// with IdempotencyReplayedHeader: true) instead of creating a duplicate.
-const (
-	IdempotencyKeyHeader      = "Idempotency-Key"
-	IdempotencyReplayedHeader = "Idempotency-Replayed"
-)
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	body := http.MaxBytesReader(w, r.Body, 64<<20)
 	if err := json.NewDecoder(body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode job spec: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode job spec: %v", err)})
 		return
 	}
 	j, replayed, err := s.SubmitIdempotent(r.Header.Get(IdempotencyKeyHeader), spec)
+	var se *ShedError
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.shed(w, "queue full")
+		s.shed(w, shedQueueFull)
 		return
 	case errors.Is(err, ErrQueueClosed):
-		s.shed(w, "draining")
+		s.shed(w, shedDraining)
+		return
+	case errors.As(err, &se):
+		s.shed(w, se.Reason)
 		return
 	case errors.Is(err, ErrDeadlineExpired):
 		// 504, not 503: the client's time budget is spent, so "come back
 		// later" would be a lie — there is no Retry-After that helps.
-		s.metrics.shedDeadline.Inc()
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
+		s.metrics.shed[shedDeadline].Inc()
+		WriteJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	if replayed {
-		s.metrics.idemReplays.Inc()
 		w.Header().Set(IdempotencyReplayedHeader, "true")
-		writeJSON(w, http.StatusOK, j.Snapshot())
+		WriteJSON(w, http.StatusOK, j.Snapshot())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
+	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
+		WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
+		WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job"})
 		return
 	}
 	st := j.Snapshot()
 	w.Header().Set("X-Job-State", string(st.State))
 	data, ok := j.Result()
 	if !ok {
-		writeJSON(w, http.StatusConflict, st)
+		WriteJSON(w, http.StatusConflict, st)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(BodyChecksumHeader, bodyChecksum(data))
+	w.Header().Set(BodyChecksumHeader, BodyChecksum(data))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }
@@ -644,11 +631,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.Cancel(id); err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 		return
 	}
 	j, _ := s.Job(id)
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
+	WriteJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
 // handleHealthz is liveness plus introspection: 200 while the process is
@@ -660,16 +647,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Phase == PhaseStopped {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
-// handleReadyz is readiness: 200 only while admitting jobs, so load
-// balancers stop routing to a draining instance before it sheds.
+// handleReadyz is readiness: 200 only while admitting jobs and the
+// executor can take work, so load balancers stop routing to a draining (or
+// node-starved) instance before it sheds.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.Phase() == PhaseServing {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-		return
+	status := string(s.Phase())
+	if status == string(PhaseServing) {
+		err := s.exec.Ready()
+		if err == nil {
+			WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			return
+		}
+		status = err.Error()
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": string(s.Phase())})
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter("")))
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": status})
 }

@@ -42,6 +42,9 @@ func testServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// local returns the local executor behind a Server built by New.
+func local(s *Server) *localExec { return s.exec.(*localExec) }
+
 // simSpec is the canonical small simulation job used across tests.
 func simSpec(seed uint64) JobSpec {
 	return JobSpec{
@@ -186,39 +189,6 @@ func TestHTTPRejectsInvalidSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON status = %d", resp.StatusCode)
-	}
-}
-
-func TestHealthAndReadyReflectPhases(t *testing.T) {
-	s := testServer(t, Config{})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	check := func(path string, want int) {
-		t.Helper()
-		r, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != want {
-			t.Errorf("%s while %s = %d, want %d", path, s.Phase(), r.StatusCode, want)
-		}
-	}
-	check("/healthz", http.StatusOK)
-	check("/readyz", http.StatusOK)
-
-	s.Drain()
-	check("/healthz", http.StatusServiceUnavailable) // stopped
-	check("/readyz", http.StatusServiceUnavailable)
-
-	// Submissions after drain are shed with Retry-After.
-	resp, _ := postJob(t, ts, simSpec(1))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain submit = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("post-drain 503 without Retry-After")
 	}
 }
 

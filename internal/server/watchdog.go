@@ -67,13 +67,6 @@ func (w *watchdog) unwatch(j *Job) {
 	w.mu.Unlock()
 }
 
-// runningCount returns how many jobs are under supervision.
-func (w *watchdog) runningCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.running)
-}
-
 // loop scans for stalls until closed.
 func (w *watchdog) loop() {
 	defer close(w.done)
@@ -96,14 +89,8 @@ func (w *watchdog) loop() {
 			}
 			w.mu.Unlock()
 			for _, j := range stalled {
-				j.mu.Lock()
-				cancel := j.cancel
-				j.mu.Unlock()
-				if cancel != nil {
-					cancel(fmt.Errorf("%w after %s", ErrStalled, w.stallAfter))
-					if w.onKill != nil {
-						w.onKill(j)
-					}
+				if j.Interrupt(fmt.Errorf("%w after %s", ErrStalled, w.stallAfter)) && w.onKill != nil {
+					w.onKill(j)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"dnastore/internal/channel"
@@ -16,7 +17,8 @@ import (
 	"dnastore/internal/store"
 )
 
-// The worker pool. Each worker pops admitted jobs and runs them under full
+// The local executor: a bounded admission queue feeding a supervised
+// worker pool. Each worker pops admitted jobs and runs them under full
 // supervision: a per-attempt cancellable context carrying the deadline and
 // the progress hook, panic isolation (both the per-cluster isolation
 // inside SimulateCtx and a top-level recover for everything else), and the
@@ -24,6 +26,91 @@ import (
 // jobs execute through the per-cluster split-RNG scheme, so a job's output
 // is byte-identical regardless of worker count, stall kills, or requeue
 // history.
+
+// localExec is the single-node Executor.
+type localExec struct {
+	s        *Server
+	cfg      Config
+	queue    *jobQueue
+	dog      *watchdog
+	breaker  *Breaker
+	metrics  localMetrics
+	workerWG sync.WaitGroup
+}
+
+// start wires the executor to its front-end and starts the workers and
+// the watchdog.
+func (e *localExec) start(s *Server) {
+	e.s, e.cfg = s, s.cfg
+	e.queue = newJobQueue(e.cfg.QueueCapacity)
+	e.breaker = NewBreaker(e.cfg.BreakerThreshold, e.cfg.BreakerCooldown)
+	e.metrics = newLocalMetrics(e, e.cfg.Registry)
+	// Supervision events flow into the metric surface through hooks so the
+	// watchdog and breaker stay observable without importing obs
+	// themselves. Both hooks are installed before any goroutine that can
+	// fire them starts (the watchdog scan loop starts inside newWatchdog;
+	// the breaker is only exercised by workers started below).
+	e.dog = newWatchdog(e.cfg.WatchdogInterval, e.cfg.StallAfter, func(j *Job) {
+		e.metrics.kills.Inc()
+		e.s.slog.Warn("watchdog kill", "job", j.ID, "stall_after", e.cfg.StallAfter)
+	})
+	e.breaker.onTransition = func(from, to BreakerState) {
+		if c := e.metrics.breakerTo[to]; c != nil {
+			c.Inc()
+		}
+		e.s.slog.Warn("breaker transition", "from", string(from), "to", string(to))
+	}
+	e.workerWG.Add(e.cfg.Workers)
+	for i := 0; i < e.cfg.Workers; i++ {
+		go e.worker()
+	}
+}
+
+// Admit queues the job. The push never blocks: the queue is bounded and
+// sheds with ErrQueueFull instead of waiting.
+func (e *localExec) Admit(j *Job, _ string) error { return e.queue.push(j) }
+
+// Ready: the local executor takes work whenever the front-end admits.
+func (e *localExec) Ready() error { return nil }
+
+// Health reports the I/O breaker.
+func (e *localExec) Health() any {
+	return map[string]BreakerState{"breaker": e.breaker.State()}
+}
+
+// Drain cancels the queued jobs, interrupts checkpointable running jobs so
+// they journal and park, and gives everything else DrainGrace to finish
+// before canceling it.
+func (e *localExec) Drain() {
+	// Shed the queue: those jobs never started, so there is nothing to
+	// checkpoint.
+	for _, j := range e.queue.close() {
+		e.s.Finish(j, StateCanceled, nil, errDraining)
+	}
+	// Interrupt checkpointable in-flight jobs: their progress is durable,
+	// so the fastest correct exit is "journal and park". Everything else
+	// keeps running within the grace window.
+	for _, j := range e.s.RunningJobs() {
+		if e.jobCheckpointPath(j) != "" {
+			j.Interrupt(errDraining)
+		}
+	}
+	workersDone := make(chan struct{})
+	go func() {
+		e.workerWG.Wait()
+		close(workersDone)
+	}()
+	select {
+	case <-workersDone:
+	case <-time.After(e.cfg.DrainGrace):
+		e.s.logf("drain: grace expired, canceling stragglers")
+		for _, j := range e.s.RunningJobs() {
+			j.Interrupt(errDraining)
+		}
+		<-workersDone
+	}
+	e.dog.close()
+}
 
 // errCanceledByClient is the cancellation cause for DELETE /v1/jobs/{id}.
 var errCanceledByClient = errors.New("server: job canceled by client")
@@ -38,10 +125,10 @@ type jobOutcome struct {
 }
 
 // worker loops until the queue closes and drains.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
+func (e *localExec) worker() {
+	defer e.workerWG.Done()
 	for {
-		j := s.queue.pop()
+		j := e.queue.pop()
 		if j == nil {
 			return
 		}
@@ -49,13 +136,13 @@ func (s *Server) worker() {
 			// Canceled while queued; nothing to run.
 			continue
 		}
-		s.runJob(j)
+		e.runJob(j)
 	}
 }
 
 // runJob executes one attempt of j and settles its fate: terminal state,
 // or a requeue for another attempt.
-func (s *Server) runJob(j *Job) {
+func (e *localExec) runJob(j *Job) {
 	// The attempt context: cancellable with a cause (watchdog kill, client
 	// cancel, drain), bounded by the per-job or server-default deadline,
 	// and carrying the progress hook that feeds both the status endpoint
@@ -63,7 +150,7 @@ func (s *Server) runJob(j *Job) {
 	base, cancel := context.WithCancelCause(context.Background())
 	timeout := time.Duration(j.Spec.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
-		timeout = s.cfg.DefaultJobTimeout
+		timeout = e.cfg.DefaultJobTimeout
 	}
 	// A client-supplied absolute deadline covers queueing too: a job whose
 	// deadline expired while it waited fails fast instead of executing for
@@ -73,7 +160,7 @@ func (s *Server) runJob(j *Job) {
 		remaining := time.Until(ddl)
 		if remaining <= 0 {
 			cancel(nil)
-			s.finishJob(j, StateFailed, nil, fmt.Errorf("server: job deadline expired while queued: %w", context.DeadlineExceeded))
+			e.s.Finish(j, StateFailed, nil, fmt.Errorf("server: job deadline expired while queued: %w", context.DeadlineExceeded))
 			return
 		}
 		if timeout <= 0 || remaining < timeout {
@@ -94,23 +181,16 @@ func (s *Server) runJob(j *Job) {
 	stages := obs.NewStageTimer()
 	ctx = obs.WithTimer(ctx, stages)
 
-	// Transition to running and expose the cancel hook in one critical
-	// section: a client cancel that raced the pop either already parked
-	// the job (seen here as terminal) or will find j.cancel set.
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+	// A client cancel that raced the pop either already parked the job
+	// (Begin reports false) or will find the cancel hook.
+	attempt, ok := j.Begin(cancel)
+	if !ok {
 		cancel(nil)
 		return
 	}
-	j.state = StateRunning
-	j.attempts++
-	attempt := j.attempts
-	j.cancel = cancel
-	j.mu.Unlock()
 	j.touch()
-	s.dog.watch(j)
-	defer s.dog.unwatch(j)
+	e.dog.watch(j)
+	defer e.dog.unwatch(j)
 	defer cancel(nil)
 
 	// Execute in a child goroutine so a wedged attempt can be abandoned:
@@ -126,7 +206,7 @@ func (s *Server) runJob(j *Job) {
 				resCh <- jobOutcome{err: fmt.Errorf("server: job panic: %v", p)}
 			}
 		}()
-		resCh <- s.execute(ctx, j)
+		resCh <- e.execute(ctx, j)
 	}()
 
 	var out jobOutcome
@@ -136,68 +216,68 @@ func (s *Server) runJob(j *Job) {
 	case <-ctx.Done():
 		select {
 		case out = <-resCh:
-		case <-time.After(s.cfg.KillGrace):
+		case <-time.After(e.cfg.KillGrace):
 			abandoned = true
 			out = jobOutcome{err: fmt.Errorf("server: attempt %d abandoned: %w", attempt, context.Cause(ctx))}
 		}
 	}
-	s.metrics.attemptSecs.Observe(time.Since(attemptStart).Seconds())
-	s.metrics.observeStages(stages.Snapshot())
+	e.metrics.attemptSecs.Observe(time.Since(attemptStart).Seconds())
+	e.metrics.observeStages(stages.Snapshot())
 	if summary := stages.Summary(); summary != "" {
-		s.slog.Debug("attempt stages", "job", j.ID, "attempt", attempt, "stages", summary)
+		e.s.slog.Debug("attempt stages", "job", j.ID, "attempt", attempt, "stages", summary)
 	}
-	s.settle(j, ctx, out, abandoned)
+	e.settle(j, ctx, out, abandoned)
 }
 
 // settle maps an attempt's outcome (and the cancellation cause, if any)
 // onto the job lifecycle: done, failed, canceled, checkpointed, or
 // requeued for another attempt.
-func (s *Server) settle(j *Job, ctx context.Context, out jobOutcome, abandoned bool) {
+func (e *localExec) settle(j *Job, ctx context.Context, out jobOutcome, abandoned bool) {
 	cause := context.Cause(ctx)
 	switch {
 	case out.err == nil:
-		s.closeJobCheckpoint(j, true)
-		s.finishJob(j, StateDone, out.result, nil)
+		e.closeJobCheckpoint(j, true)
+		e.s.Finish(j, StateDone, out.result, nil)
 		return
 
 	case errors.Is(cause, errCanceledByClient) || errors.Is(out.err, errCanceledByClient):
-		s.closeJobCheckpoint(j, false)
-		s.finishJob(j, StateCanceled, nil, errCanceledByClient)
+		e.closeJobCheckpoint(j, false)
+		e.s.Finish(j, StateCanceled, nil, errCanceledByClient)
 		return
 
 	case errors.Is(cause, errDraining) || errors.Is(out.err, errDraining):
 		// Drain interrupted the attempt. With a journal the progress is
 		// durable and the job is resumable; without one it is canceled.
-		if s.jobCheckpointPath(j) != "" && !abandoned {
-			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCheckpointed, nil, errDraining)
+		if e.jobCheckpointPath(j) != "" && !abandoned {
+			e.closeJobCheckpoint(j, false)
+			e.s.Finish(j, StateCheckpointed, nil, errDraining)
 		} else {
-			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCanceled, nil, errDraining)
+			e.closeJobCheckpoint(j, false)
+			e.s.Finish(j, StateCanceled, nil, errDraining)
 		}
 		return
 
 	case errors.Is(cause, context.DeadlineExceeded) || errors.Is(out.err, context.DeadlineExceeded):
 		// Re-running would meet the same deadline; fail now.
-		s.closeJobCheckpoint(j, false)
-		s.finishJob(j, StateFailed, nil, fmt.Errorf("server: job deadline exceeded: %w", out.err))
+		e.closeJobCheckpoint(j, false)
+		e.s.Finish(j, StateFailed, nil, fmt.Errorf("server: job deadline exceeded: %w", out.err))
 		return
 
 	case errors.Is(cause, ErrStalled):
-		s.logf("job %s attempt stalled: %v", j.ID, out.err)
-		s.retryOrFail(j, fmt.Errorf("stalled: %w", cause))
+		e.s.logf("job %s attempt stalled: %v", j.ID, out.err)
+		e.retryOrFail(j, fmt.Errorf("stalled: %w", cause))
 		return
 
 	case errors.Is(out.err, ErrBreakerOpen):
 		// The I/O dependency is known-bad; failing fast is the point.
-		s.finishJob(j, StateFailed, nil, out.err)
+		e.s.Finish(j, StateFailed, nil, out.err)
 		return
 
 	default:
 		// Per-cluster panics, decode exhaustion, pool I/O errors: retry up
 		// to the attempt cap — transient faults (injected or real) clear,
 		// and the split-RNG scheme makes the retry deterministic.
-		s.retryOrFail(j, out.err)
+		e.retryOrFail(j, out.err)
 		return
 	}
 }
@@ -205,42 +285,42 @@ func (s *Server) settle(j *Job, ctx context.Context, out jobOutcome, abandoned b
 // retryOrFail requeues the job for another supervised attempt, or fails it
 // at the attempt cap. During drain the queue refuses; a checkpointed job
 // then parks as resumable, anything else is canceled.
-func (s *Server) retryOrFail(j *Job, attemptErr error) {
+func (e *localExec) retryOrFail(j *Job, attemptErr error) {
 	j.mu.Lock()
 	attempts := j.attempts
 	j.err = attemptErr // visible in status while requeued
 	j.mu.Unlock()
-	if attempts >= s.cfg.MaxAttempts {
-		s.closeJobCheckpoint(j, false)
-		s.finishJob(j, StateFailed, nil, fmt.Errorf("server: %d attempts exhausted, last: %w", attempts, attemptErr))
+	if attempts >= e.cfg.MaxAttempts {
+		e.closeJobCheckpoint(j, false)
+		e.s.Finish(j, StateFailed, nil, fmt.Errorf("server: %d attempts exhausted, last: %w", attempts, attemptErr))
 		return
 	}
 	j.mu.Lock()
-	j.state = StateQueued
+	j.setStateLocked(StateQueued)
 	j.cancel = nil
 	j.mu.Unlock()
 	j.touch()
-	if err := s.queue.requeue(j); err != nil {
-		if s.jobCheckpointPath(j) != "" {
-			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCheckpointed, nil, errDraining)
+	if err := e.queue.requeue(j); err != nil {
+		if e.jobCheckpointPath(j) != "" {
+			e.closeJobCheckpoint(j, false)
+			e.s.Finish(j, StateCheckpointed, nil, errDraining)
 		} else {
-			s.closeJobCheckpoint(j, false)
-			s.finishJob(j, StateCanceled, nil, errDraining)
+			e.closeJobCheckpoint(j, false)
+			e.s.Finish(j, StateCanceled, nil, errDraining)
 		}
 		return
 	}
-	s.metrics.requeues.Inc()
-	s.logf("job %s requeued after attempt %d: %v", j.ID, attempts, attemptErr)
+	e.metrics.requeues.Inc()
+	e.s.logf("job %s requeued after attempt %d: %v", j.ID, attempts, attemptErr)
 }
 
 // execute dispatches one attempt by kind.
-func (s *Server) execute(ctx context.Context, j *Job) jobOutcome {
+func (e *localExec) execute(ctx context.Context, j *Job) jobOutcome {
 	switch j.Spec.Kind {
 	case KindSimulate:
-		return s.executeSimulate(ctx, j)
+		return e.executeSimulate(ctx, j)
 	case KindRetrieve:
-		return s.executeRetrieve(ctx, j)
+		return e.executeRetrieve(ctx, j)
 	}
 	return jobOutcome{err: fmt.Errorf("server: unknown job kind %q", j.Spec.Kind)}
 }
@@ -250,16 +330,16 @@ func (s *Server) execute(ctx context.Context, j *Job) jobOutcome {
 // path derives from the spec fingerprint, not the job ID, so resubmitting
 // an identical spec — after a drain, or from a fresh server on the same
 // data dir — resumes the journal.
-func (s *Server) jobCheckpointPath(j *Job) string {
-	if s.cfg.DataDir == "" || j.Spec.Kind != KindSimulate {
+func (e *localExec) jobCheckpointPath(j *Job) string {
+	if e.cfg.DataDir == "" || j.Spec.Kind != KindSimulate {
 		return ""
 	}
-	return filepath.Join(s.cfg.DataDir, fmt.Sprintf("sim-%016x.ckpt", j.Spec.Simulate.Fingerprint()))
+	return filepath.Join(e.cfg.DataDir, fmt.Sprintf("sim-%016x.ckpt", j.Spec.Simulate.Fingerprint()))
 }
 
 // closeJobCheckpoint closes the job's journal handle if open; when the job
 // completed, the journal has served its purpose and is removed.
-func (s *Server) closeJobCheckpoint(j *Job, completed bool) {
+func (e *localExec) closeJobCheckpoint(j *Job, completed bool) {
 	j.mu.Lock()
 	ckpt := j.ckpt
 	j.ckpt = nil
@@ -269,16 +349,16 @@ func (s *Server) closeJobCheckpoint(j *Job, completed bool) {
 	}
 	ckpt.Close()
 	if completed {
-		if path := s.jobCheckpointPath(j); path != "" {
+		if path := e.jobCheckpointPath(j); path != "" {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				s.logf("job %s: removing checkpoint: %v", j.ID, err)
+				e.s.logf("job %s: removing checkpoint: %v", j.ID, err)
 			}
 		}
 	}
 }
 
 // executeSimulate runs one attempt of a simulation job.
-func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
+func (e *localExec) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 	spec := j.Spec.Simulate
 	ch, cov, err := spec.Simulator()
 	if err != nil {
@@ -289,8 +369,8 @@ func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 	// not its output, and must not invalidate (or be required to reopen) a
 	// checkpoint written by an unwrapped run.
 	desc := channel.Simulator{Channel: ch, Coverage: cov}.Describe()
-	if s.cfg.WrapSimulation != nil {
-		ch, cov = s.cfg.WrapSimulation(ch, cov)
+	if e.cfg.WrapSimulation != nil {
+		ch, cov = e.cfg.WrapSimulation(ch, cov)
 	}
 	refs := spec.References()
 	first, count := spec.ShardRange()
@@ -303,11 +383,11 @@ func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 	j.mu.Lock()
 	ckpt := j.ckpt
 	j.mu.Unlock()
-	path := s.jobCheckpointPath(j)
+	path := e.jobCheckpointPath(j)
 	if path != "" && ckpt == nil {
 		// Journal open is disk I/O: it goes through the breaker so a dead
 		// data dir trips fast instead of stalling every attempt.
-		err := s.breaker.Do(func() error {
+		err := e.breaker.Do(func() error {
 			var oerr error
 			ckpt, oerr = channel.OpenCheckpoint(path, "simulated", refs, spec.Seed, desc)
 			return oerr
@@ -319,7 +399,7 @@ func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 		j.ckpt = ckpt
 		j.mu.Unlock()
 		if n := ckpt.Completed(); n > 0 {
-			s.logf("job %s resuming: %d/%d clusters journaled", j.ID, n, count)
+			e.s.logf("job %s resuming: %d/%d clusters journaled", j.ID, n, count)
 			j.setProgress(n, count)
 		}
 	}
@@ -350,10 +430,10 @@ func (s *Server) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 
 // executeRetrieve runs one attempt of a retrieval job: pool load through
 // the I/O breaker, then the adaptive read path.
-func (s *Server) executeRetrieve(ctx context.Context, j *Job) jobOutcome {
+func (e *localExec) executeRetrieve(ctx context.Context, j *Job) jobOutcome {
 	spec := j.Spec.Retrieve
 	var pool *store.Pool
-	err := s.breaker.Do(func() error {
+	err := e.breaker.Do(func() error {
 		p, _, lerr := store.LoadFile(spec.PoolPath)
 		pool = p
 		return lerr
