@@ -189,7 +189,7 @@ func (p *Pool) RetrieveAdaptive(ctx context.Context, key string, factory Sequenc
 		// from there.
 		_ = seqErr
 		stopDec := timer.Start("store.decode")
-		data, rep, err := p.RetrieveReport(key, reads)
+		data, rep, err := p.retrieve(ctx, key, reads)
 		stopDec(rep.TotalStrands)
 		lastRep, lastErr = rep, err
 		if pol.OnAttempt != nil {

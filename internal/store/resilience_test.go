@@ -10,6 +10,7 @@ import (
 	"dnastore/internal/channel"
 	"dnastore/internal/codec"
 	"dnastore/internal/faults"
+	"dnastore/internal/obs"
 )
 
 // testPool builds a pool holding one object whose layout is exactly one
@@ -367,5 +368,40 @@ func TestRetrieveAdaptiveBackoffCapAndJitter(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical jitter")
+	}
+}
+
+// TestRetrieveAdaptiveStageSplit: inside each attempt's store.decode, the
+// get records its clustering and reconstruction as stages of their own,
+// whose walls fit inside the decode's.
+func TestRetrieveAdaptiveStageSplit(t *testing.T) {
+	p, payload := resiliencePool(t)
+	factory := func(int, float64) (channel.Channel, channel.CoverageModel) {
+		return channel.NewNaive("seq", channel.NanoporeMix(0.02)), channel.FixedCoverage(8)
+	}
+	timer := obs.NewStageTimer()
+	reads, clusters := 0, 0
+	pol := RetryPolicy{OnAttempt: func(_ int, rep RetrieveReport, _ error) {
+		reads, clusters = reads+rep.ReadsSelected, clusters+rep.Clusters
+	}}
+	data, _, attempts, err := p.RetrieveAdaptive(obs.WithTimer(context.Background(), timer), "doc", factory, pol, 3)
+	if err != nil || !bytes.Equal(data, payload) {
+		t.Fatalf("retrieve: %v", err)
+	}
+	stages := map[string]obs.StageTiming{}
+	for _, st := range timer.Snapshot() {
+		stages[st.Stage] = st
+	}
+	dec, cl, rc := stages["store.decode"], stages["store.cluster"], stages["store.reconstruct"]
+	for _, st := range []obs.StageTiming{dec, cl, rc} {
+		if st.Calls != attempts {
+			t.Errorf("stage %q ran %d times in %d attempts; stages %v", st.Stage, st.Calls, attempts, timer.Snapshot())
+		}
+	}
+	if cl.Items != reads || rc.Items != clusters {
+		t.Errorf("store.cluster saw %d reads, store.reconstruct %d clusters; the reports say %d and %d", cl.Items, rc.Items, reads, clusters)
+	}
+	if cl.Wall+rc.Wall > dec.Wall {
+		t.Errorf("cluster %v + reconstruct %v exceed decode %v", cl.Wall, rc.Wall, dec.Wall)
 	}
 }

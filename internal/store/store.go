@@ -13,11 +13,11 @@ import (
 	"sort"
 
 	"dnastore/internal/align"
-
 	"dnastore/internal/channel"
 	"dnastore/internal/cluster"
 	"dnastore/internal/codec"
 	"dnastore/internal/dna"
+	"dnastore/internal/obs"
 	"dnastore/internal/recon"
 	"dnastore/internal/rng"
 )
@@ -157,6 +157,13 @@ func (p *Pool) Retrieve(key string, reads []dna.Strand) ([]byte, error) {
 // report is always meaningful, including on failure, so callers can
 // surface exactly which strands an unrecoverable object is missing.
 func (p *Pool) RetrieveReport(key string, reads []dna.Strand) ([]byte, RetrieveReport, error) {
+	return p.retrieve(context.Background(), key, reads)
+}
+
+// retrieve is RetrieveReport under a context whose stage timer, if any,
+// records the clustering and reconstruction steps ("store.cluster",
+// "store.reconstruct"). Clusters are reconstructed in parallel.
+func (p *Pool) retrieve(ctx context.Context, key string, reads []dna.Strand) ([]byte, RetrieveReport, error) {
 	rep := RetrieveReport{Key: key}
 	idx, ok := p.keys[key]
 	if !ok {
@@ -170,16 +177,14 @@ func (p *Pool) RetrieveReport(key string, reads []dna.Strand) ([]byte, RetrieveR
 		rep.Unrecovered = allStrandIndexes(rep.TotalStrands)
 		return nil, rep, fmt.Errorf("store: no reads amplified for key %q", key)
 	}
+	timer := obs.TimerFrom(ctx)
+	stop := timer.Start("store.cluster")
 	clusters := cluster.Greedy(selected, cluster.Config{})
-	rep.Clusters = len(clusters)
-	length := p.opts.Archive.StrandLength()
-	var recovered []dna.Strand
-	for _, members := range clusters {
-		if len(members) == 0 {
-			continue
-		}
-		recovered = append(recovered, p.opts.Reconstructor.Reconstruct(members, length))
-	}
+	stop(len(selected))
+	rep.Clusters = len(clusters) // greedy clusters are never empty
+	stop = timer.Start("store.reconstruct")
+	recovered := recon.ReconstructAll(p.opts.Reconstructor, clusters, p.opts.Archive.StrandLength())
+	stop(len(clusters))
 	data, dr, err := p.opts.Archive.DecodeReport(recovered)
 	rep.Clean, rep.Repaired, rep.Erased = dr.Clean, dr.Repaired, dr.Erased
 	rep.Unrecovered = dr.Unrecovered
