@@ -67,7 +67,7 @@ const (
 // hypothesis maximises the number of window symbols explained; ties break
 // toward the copy's length budget (surplus → insertion, deficit →
 // deletion), then substitution.
-func classify(c dna.Strand, p int, target []int8, surplus int) int {
+func classify[S ~string | ~[]byte](c S, p int, target []int8, surplus int) int {
 	w := len(target) - 1
 	score := func(start, tOff int) int {
 		s := 0
@@ -76,7 +76,7 @@ func classify(c dna.Strand, p int, target []int8, surplus int) int {
 			if t < 0 {
 				continue
 			}
-			if start+k < c.Len() && int8(c.At(start+k)) == t {
+			if start+k < len(c) && int8(dna.MustBase(c[start+k])) == t {
 				s++
 			}
 		}
@@ -90,7 +90,7 @@ func classify(c dna.Strand, p int, target []int8, surplus int) int {
 	// Insertion: c[p] is an extra symbol; c[p+1] should be target[0] and
 	// c[p+2..] aligns with target[1..].
 	insScore := -1
-	if p+1 < c.Len() && target[0] >= 0 && int8(c.At(p+1)) == target[0] {
+	if p+1 < len(c) && target[0] >= 0 && int8(dna.MustBase(c[p+1])) == target[0] {
 		insScore = 1 + score(p+2, 1)
 	}
 	best := subScore

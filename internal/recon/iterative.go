@@ -1,6 +1,10 @@
 package recon
 
 import (
+	"bytes"
+	"slices"
+	"sync"
+
 	"dnastore/internal/align"
 	"dnastore/internal/dna"
 )
@@ -83,10 +87,13 @@ func (it Iterative) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
 
 // forward performs the one-way corrective sweep and returns the estimate.
 func (it Iterative) forward(cluster []dna.Strand, length int) dna.Strand {
-	copies := make([][]byte, len(cluster))
-	for j, c := range cluster {
-		copies[j] = []byte(string(c))
-	}
+	return dna.Strand(it.sweep(cluster, length, false))
+}
+
+// sweep is the corrective sweep over the copies, or over the reversed
+// copies when reversed is set; it returns the estimate's bases.
+func (it Iterative) sweep(cluster []dna.Strand, length int, reversed bool) []byte {
+	copies := sweepCopies(cluster, length, reversed)
 	w := it.window()
 	target := make([]int8, w+1)
 	futVotes := make([]voteCounts, w)
@@ -131,7 +138,7 @@ func (it Iterative) forward(cluster []dna.Strand, length int) dna.Strand {
 				continue
 			}
 			surplus := len(c) - length
-			switch classify(dna.Strand(c), i, target, surplus) {
+			switch classify(c, i, target, surplus) {
 			case hypIns:
 				// Remove the inserted symbol; the matching one slides in.
 				copies[j] = append(c[:i], c[i+1:]...)
@@ -147,7 +154,34 @@ func (it Iterative) forward(cluster []dna.Strand, length int) dna.Strand {
 			}
 		}
 	}
-	return dna.Strand(out)
+	return out
+}
+
+// sweepCopies returns mutable copies of the cluster's strands, reversed
+// when reversed is set, cut from one arena. A sweep grows a copy by at
+// most one base per output position, so each copy gets length spare bases
+// and the sweep's re-insertions never reallocate.
+func sweepCopies(cluster []dna.Strand, length int, reversed bool) [][]byte {
+	size := 0
+	for _, c := range cluster {
+		size += len(c) + length
+	}
+	arena := make([]byte, size)
+	copies := make([][]byte, len(cluster))
+	for j, c := range cluster {
+		n := len(c)
+		cp := arena[: n : n+length]
+		arena = arena[n+length:]
+		if reversed {
+			for k := 0; k < n; k++ {
+				cp[k] = c[n-1-k]
+			}
+		} else {
+			copy(cp, c)
+		}
+		copies[j] = cp
+	}
+	return copies
 }
 
 // polish realigns every copy to the estimate and rebuilds it from the
@@ -160,6 +194,30 @@ func polish(cluster []dna.Strand, est dna.Strand) dna.Strand {
 	return polishWeighted(cluster, est, nil)
 }
 
+// polishScratch is polishWeighted's recycled working memory.
+type polishScratch struct {
+	cols []column
+	ins  []insVote
+	seqs []byte // the bases of every inserted subsequence, back to back
+	out  []byte
+}
+
+// column holds the votes on one estimate column and on the gap before it.
+type column struct {
+	keep weightedVotes // read symbols aligned to the column
+	del  float64       // weight deleting the column
+	ins  float64       // weight inserting a subsequence into the gap
+}
+
+// insVote is one copy's inserted subsequence, seqs[start:end], in the gap
+// before column pos.
+type insVote struct {
+	pos, start, end int
+	w               float64
+}
+
+var polishPool = sync.Pool{New: func() any { return new(polishScratch) }}
+
 // polishWeighted is polish with per-copy reliability weights (nil means
 // every copy weighs 1): all column votes and majority thresholds are
 // weight sums, so a down-weighted contaminant cannot overturn columns.
@@ -168,20 +226,14 @@ func polishWeighted(cluster []dna.Strand, est dna.Strand, weights []float64) dna
 	if n == 0 {
 		return est
 	}
-	keep := make([]weightedVotes, n)
-	del := make([]float64, n)
-	var insSeq []map[string]float64 // lazily allocated: votes per inserted subsequence
-	insCount := make([]float64, n+1)
-	addIns := func(pos int, seq string, w float64) {
-		if insSeq == nil {
-			insSeq = make([]map[string]float64, n+1)
-		}
-		if insSeq[pos] == nil {
-			insSeq[pos] = make(map[string]float64)
-		}
-		insSeq[pos][seq] += w
-		insCount[pos] += w
+	sc := polishPool.Get().(*polishScratch)
+	defer polishPool.Put(sc)
+	if cap(sc.cols) < n+1 {
+		sc.cols = make([]column, n+1)
 	}
+	cols := sc.cols[:n+1]
+	clear(cols)
+	ins, seqs := sc.ins[:0], sc.seqs[:0]
 	totalW := 0.0
 	for ci, c := range cluster {
 		w := 1.0
@@ -189,62 +241,91 @@ func polishWeighted(cluster []dna.Strand, est dna.Strand, weights []float64) dna
 			w = weights[ci]
 		}
 		totalW += w
-		ops := align.Script(string(est), string(c), align.ScriptOptions{})
 		// Coalesce consecutive insertions at the same reference position
 		// into one subsequence vote.
-		pendingPos := -1
-		var pending []byte
+		pending := insVote{pos: -1}
 		flush := func() {
-			if pendingPos >= 0 {
-				addIns(pendingPos, string(pending), w)
-				pendingPos = -1
-				pending = pending[:0]
+			if pending.pos >= 0 {
+				pending.end = len(seqs)
+				ins = append(ins, pending)
+				cols[pending.pos].ins += w
+				pending.pos = -1
 			}
 		}
-		for _, op := range ops {
+		for _, op := range align.Script(string(est), string(c), align.ScriptOptions{}) {
 			switch op.Kind {
 			case align.Ins:
-				if pendingPos != op.RefPos {
+				if pending.pos != op.RefPos {
 					flush()
-					pendingPos = op.RefPos
+					pending = insVote{pos: op.RefPos, start: len(seqs), w: w}
 				}
-				pending = append(pending, op.ReadBase)
+				seqs = append(seqs, op.ReadBase)
 			case align.Equal, align.Sub:
 				flush()
-				keep[op.RefPos].add(dna.MustBase(op.ReadBase), w)
+				cols[op.RefPos].keep.add(dna.MustBase(op.ReadBase), w)
 			case align.Del:
 				flush()
-				del[op.RefPos] += w
+				cols[op.RefPos].del += w
 			}
 		}
 		flush()
 	}
-	out := make([]byte, 0, n+8)
+	sc.ins, sc.seqs = ins, seqs
+	out := sc.out[:0]
 	for i := 0; i <= n; i++ {
-		if insCount[i]*2 > totalW && insSeq != nil && insSeq[i] != nil {
+		if cols[i].ins*2 > totalW {
 			// Majority of copy weight inserts here: take the plurality
 			// sequence.
-			best, bestW := "", 0.0
-			for seq, sw := range insSeq[i] {
-				if sw > bestW || (sw == bestW && seq < best) {
-					best, bestW = seq, sw
-				}
-			}
-			out = append(out, best...)
+			out = append(out, pluralityInsert(ins, seqs, i)...)
 		}
 		if i == n {
 			break
 		}
-		if del[i]*2 > totalW {
+		if cols[i].del*2 > totalW {
 			continue // majority weight deletes this column
 		}
-		b, ok := keep[i].winner()
+		b, ok := cols[i].keep.winner()
 		if !ok {
 			b = est.At(i)
 		}
 		out = append(out, b.Byte())
 	}
+	sc.out = out
 	return dna.Strand(out)
+}
+
+// pluralityInsert returns the inserted subsequence with the most weight in
+// the gap before column pos; equal weights go to the lexicographically
+// smallest sequence. Each sequence's weight is summed in vote order.
+func pluralityInsert(ins []insVote, seqs []byte, pos int) []byte {
+	var best []byte
+	bestW := 0.0
+	for a, v := range ins {
+		if v.pos != pos {
+			continue
+		}
+		seq := seqs[v.start:v.end]
+		counted := false
+		for _, u := range ins[:a] {
+			if u.pos == pos && bytes.Equal(seqs[u.start:u.end], seq) {
+				counted = true
+				break
+			}
+		}
+		if counted {
+			continue
+		}
+		sw := 0.0
+		for _, u := range ins[a:] {
+			if u.pos == pos && bytes.Equal(seqs[u.start:u.end], seq) {
+				sw += u.w
+			}
+		}
+		if sw > bestW || (sw == bestW && bytes.Compare(seq, best) < 0) {
+			best, bestW = seq, sw
+		}
+	}
+	return best
 }
 
 // TwoWayIterative is the paper's §4.3 proposed improvement: the Iterative
@@ -285,7 +366,9 @@ func (tw TwoWayIterative) Reconstruct(cluster []dna.Strand, length int) dna.Stra
 	}
 	it := Iterative{Window: tw.Window, PolishRounds: tw.PolishRounds}
 	forward := it.forward(cluster, length)
-	backward := it.forward(reverseCluster(cluster), length).Reverse()
+	back := it.sweep(cluster, length, true)
+	slices.Reverse(back)
+	backward := dna.Strand(back)
 	// Renormalise the backward estimate into the forward frame: a truncated
 	// backward pass is missing symbols at the strand *start*.
 	for backward.Len() < length {

@@ -90,10 +90,9 @@ func (v *weightedVotes) winner() (dna.Base, bool) {
 // weightedForward is the Iterative sweep with reliability-weighted votes;
 // it returns the estimate and the final per-copy weights.
 func weightedForward(cluster []dna.Strand, length, window int, penalty, reward float64) (dna.Strand, []float64) {
-	copies := make([][]byte, len(cluster))
+	copies := sweepCopies(cluster, length, false)
 	weights := make([]float64, len(cluster))
-	for j, c := range cluster {
-		copies[j] = []byte(string(c))
+	for j := range weights {
 		weights[j] = 1
 	}
 	target := make([]int8, window+1)
@@ -152,7 +151,7 @@ func weightedForward(cluster []dna.Strand, length, window int, penalty, reward f
 				weights[j] = weightFloor
 			}
 			surplus := len(c) - length
-			switch classify(dna.Strand(c), i, target, surplus) {
+			switch classify(c, i, target, surplus) {
 			case hypIns:
 				copies[j] = append(c[:i], c[i+1:]...)
 			case hypDel:
