@@ -130,42 +130,48 @@ func Greedy(pool []dna.Strand, cfg Config) [][]dna.Strand {
 	return out
 }
 
-// sketcher computes minimizer signatures, reusing its buffers from read
-// to read.
+// sketcher computes minimizer signatures, reusing its buffer from read to
+// read.
 type sketcher struct {
-	k, n   int
-	hashes []uint64 // every k-mer hash of the current read
-	sigs   []uint64
+	k, n int
+	sigs []uint64
 }
 
 func newSketcher(cfg Config) *sketcher {
 	return &sketcher{k: cfg.k(), n: cfg.signatures()}
 }
 
-// minimizers returns the n smallest distinct k-mer hashes of the strand
-// (fewer when the strand has fewer; the whole-strand hash when it is
-// shorter than k). The result is valid until the next call.
+// minimizers returns the n smallest distinct k-mer hashes of the strand in
+// ascending order (fewer when the strand has fewer; the whole-strand hash
+// when it is shorter than k). The result is valid until the next call.
+//
+// The hashes are kept in a sorted buffer of at most n slots: a hash no
+// smaller than a full buffer's largest is rejected at once, any other is
+// inserted in place unless already present. A read has about 130 k-mers
+// and n is 6, so this beats sorting every hash.
 func (sk *sketcher) minimizers(s dna.Strand) []uint64 {
-	sk.sigs = sk.sigs[:0]
+	sigs := sk.sigs[:0]
 	if s.Len() < sk.k {
-		return append(sk.sigs, hashFNV(string(s)))
+		sk.sigs = append(sigs, hashFNV(string(s)))
+		return sk.sigs
 	}
-	sk.hashes = sk.hashes[:0]
 	for i := 0; i+sk.k <= s.Len(); i++ {
-		sk.hashes = append(sk.hashes, hashFNV(string(s[i:i+sk.k])))
-	}
-	slices.Sort(sk.hashes)
-	// Deduplicate while collecting the n smallest.
-	for i, h := range sk.hashes {
-		if i > 0 && h == sk.hashes[i-1] {
+		h := hashFNV(string(s[i : i+sk.k]))
+		if len(sigs) == sk.n && h >= sigs[len(sigs)-1] {
 			continue
 		}
-		sk.sigs = append(sk.sigs, h)
-		if len(sk.sigs) == sk.n {
-			break
+		pos, found := slices.BinarySearch(sigs, h)
+		if found {
+			continue
 		}
+		if len(sigs) < sk.n {
+			sigs = append(sigs, 0)
+		}
+		copy(sigs[pos+1:], sigs[pos:len(sigs)-1])
+		sigs[pos] = h
 	}
-	return sk.sigs
+	sk.sigs = sigs
+	return sigs
 }
 
 func containsID(ids []int, id int) bool {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"dnastore/internal/channel"
@@ -112,6 +113,54 @@ func TestHashFNVMatchesStdlib(t *testing.T) {
 		h.Write(b)
 		if got, want := hashFNV(string(b)), h.Sum64(); got != want {
 			t.Fatalf("hashFNV(%q) = %#x, want %#x", b, got, want)
+		}
+	}
+}
+
+// sortMinimizers is the sort-based minimizer selection the sketcher ran
+// before its bounded insertion buffer, kept as the oracle: hash every
+// k-mer, sort, and keep the n smallest distinct hashes.
+func sortMinimizers(s dna.Strand, k, n int) []uint64 {
+	if s.Len() < k {
+		return []uint64{hashFNV(string(s))}
+	}
+	var hashes []uint64
+	for i := 0; i+k <= s.Len(); i++ {
+		hashes = append(hashes, hashFNV(string(s[i:i+k])))
+	}
+	slices.Sort(hashes)
+	var sigs []uint64
+	for i, h := range hashes {
+		if i > 0 && h == hashes[i-1] {
+			continue
+		}
+		sigs = append(sigs, h)
+		if len(sigs) == n {
+			break
+		}
+	}
+	return sigs
+}
+
+// TestMinimizersMatchSortOracle checks the sketcher against the sort-based
+// oracle over random strands, low-complexity strands full of repeated
+// k-mers, strands shorter than k, and several k and n.
+func TestMinimizersMatchSortOracle(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 2000; trial++ {
+		k, n := 1+r.Intn(12), 1+r.Intn(10)
+		sk := newSketcher(Config{K: k, Signatures: n})
+		alpha := "ACGT"
+		if trial%3 == 0 {
+			alpha = "AC" // few distinct k-mers: duplicates everywhere
+		}
+		b := make([]byte, r.Intn(160))
+		for i := range b {
+			b[i] = alpha[r.Intn(len(alpha))]
+		}
+		s := dna.Strand(b)
+		if got, want := sk.minimizers(s), sortMinimizers(s, k, n); !slices.Equal(got, want) {
+			t.Fatalf("k=%d n=%d %q: minimizers %v, sort oracle %v", k, n, s, got, want)
 		}
 	}
 }
