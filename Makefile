@@ -17,7 +17,8 @@ verify: build test verify-race chaos-smoke fuzz-smoke
 # (internal/store), the journal (internal/durable), the metrics
 # registry / stage timer (internal/obs), and the get path's parallel
 # reconstruction (internal/recon workers sharing the pooled
-# internal/align script matrices, over internal/cluster's output).
+# internal/align script matrices and recon's pooled vote columns, over
+# internal/cluster's output).
 verify-race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... \
@@ -35,7 +36,8 @@ chaos-smoke:
 # Short fuzz pass over every parser that consumes on-disk bytes: the
 # durable container reader, the pool loader, the FASTA/FASTQ parsers, the
 # fault-injection spec DSL, and the channel stage-pipeline DSL — plus the
-# bit-parallel edit-distance kernel against its full-matrix oracle.
+# bit-parallel edit-distance kernel and the banded edit-script traceback,
+# each against its full-matrix oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -44,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzDistanceAtMost -fuzztime=10s ./internal/align/
+	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
 
 # Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
 # plus the machine-readable simulate hot-path measurement CI archives as an

@@ -55,8 +55,7 @@ func (m MSA) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
 }
 
 // centerCopy returns the cluster member minimising the total edit distance
-// to all other members (ties break toward the earliest copy whose length
-// is closest to the cluster median, then lowest index).
+// to all other members; ties break toward the lowest index.
 func centerCopy(cluster []dna.Strand) dna.Strand {
 	if len(cluster) == 1 {
 		return cluster[0]
