@@ -86,7 +86,6 @@ func BenchmarkExtErrorScale(b *testing.B)       { runEntry(b, "ext.errorscale") 
 func BenchmarkExtWeighted(b *testing.B)         { runEntry(b, "ext.weighted") }
 func BenchmarkExtHoldout(b *testing.B)          { runEntry(b, "ext.holdout") }
 func BenchmarkExtChimera(b *testing.B)          { runEntry(b, "ext.chimera") }
-func BenchmarkAblationStages(b *testing.B)      { runEntry(b, "abl.stages") }
 func BenchmarkAblationWindow(b *testing.B)      { runEntry(b, "abl.window") }
 func BenchmarkAblationSplice(b *testing.B)      { runEntry(b, "abl.splice") }
 func BenchmarkAblationScript(b *testing.B)      { runEntry(b, "abl.script") }

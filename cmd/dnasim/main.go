@@ -103,18 +103,9 @@ func main() {
 		ch = m
 	}
 
-	var cov channel.CoverageModel
-	switch *covModel {
-	case "fixed":
-		cov = channel.FixedCoverage(int(*coverage))
-	case "negbin":
-		cov = channel.NegBinCoverage{Mean: *coverage, Dispersion: 2.5}
-	case "poisson":
-		cov = channel.PoissonCoverage(*coverage)
-	case "normal":
-		cov = channel.NormalCoverage{Mean: *coverage, SD: *coverage / 3}
-	default:
-		fail(fmt.Errorf("unknown coverage model %q", *covModel))
+	cov, err := channel.CoverageByName(*covModel, *coverage)
+	if err != nil {
+		fail(err)
 	}
 	// A staged channel's pool stages (PCR skew, breakage) rewrite the read
 	// count; bind them before faults so injectors stay outermost.

@@ -96,28 +96,6 @@ func PaperLongDeletion() LongDeletion {
 	}
 }
 
-// sampleLen draws a burst length; it returns MinLen when no weights are set.
-func (l LongDeletion) sampleLen(r *rng.RNG) int {
-	if len(l.LengthWeights) == 0 {
-		return l.minLen()
-	}
-	total := 0.0
-	for _, w := range l.LengthWeights {
-		total += w
-	}
-	if total <= 0 {
-		return l.minLen()
-	}
-	u := r.Float64() * total
-	for k, w := range l.LengthWeights {
-		u -= w
-		if u < 0 {
-			return l.minLen() + k
-		}
-	}
-	return l.minLen() + len(l.LengthWeights) - 1
-}
-
 func (l LongDeletion) minLen() int {
 	if l.MinLen < 2 {
 		return 2

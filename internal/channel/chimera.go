@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 
-	"dnastore/internal/dataset"
 	"dnastore/internal/dna"
 	"dnastore/internal/rng"
 )
@@ -13,52 +12,58 @@ import (
 // strand is performed independently". The dominant interaction artifact in
 // real pools is the chimera — a read whose prefix comes from one strand
 // and whose suffix comes from another (template switching during PCR, or
-// ligation during library preparation). Chimeras are a pool-level effect:
-// a per-strand Channel cannot produce them, so they are modelled by a
-// Simulator wrapper that sees the whole reference pool.
+// ligation during library preparation). A chimera changes one read, so it
+// is a read effect: a Channel that knows the reference pool, drawing
+// everything from the per-cluster RNG like any other channel.
 
-// ChimericSimulator wraps a Simulator: each generated read is, with
-// probability P, replaced by a chimera of its own reference and a random
-// partner reference, spliced at a uniform position, before passing through
-// the noisy channel.
-type ChimericSimulator struct {
-	// Simulator produces the base dataset.
-	Simulator
+// Chimera wraps a Channel: each read is, with probability P, transmitted
+// from a chimera of its own reference and a uniformly chosen partner from
+// Refs, spliced at a uniform position. Reads stay attributed to the
+// cluster whose reference donated the prefix (the clustering stage would
+// mostly group them there, since the prefix dominates edit distance to
+// the true reference).
+type Chimera struct {
+	// Base transmits the (possibly chimeric) template.
+	Base Channel
+	// Refs is the reference pool partners are drawn from.
+	Refs []dna.Strand
 	// P is the per-read chimera probability.
 	P float64
 }
 
-// Simulate produces the dataset with chimeras injected. Reads remain
-// attributed to the cluster whose reference donated the prefix (the
-// clustering stage would mostly group them there, since the prefix
-// dominates edit distance to the true reference).
-func (cs ChimericSimulator) Simulate(name string, refs []dna.Strand, seed uint64) *dataset.Dataset {
-	if cs.P < 0 || cs.P > 1 {
-		panic(fmt.Sprintf("channel: chimera probability %g out of [0,1]", cs.P))
+// NewChimera wraps base with chimeras drawn from refs at probability p.
+func NewChimera(base Channel, refs []dna.Strand, p float64) (*Chimera, error) {
+	if base == nil {
+		return nil, fmt.Errorf("channel: chimera needs a base channel")
 	}
-	ds := cs.Simulator.Simulate(name, refs, seed)
-	if cs.P == 0 || len(refs) < 2 {
-		return ds
+	if !(p >= 0 && p <= 1) {
+		return nil, fmt.Errorf("channel: chimera probability %g out of [0,1]", p)
 	}
-	r := rng.New(seed ^ 0xc41e5a)
-	for i := range ds.Clusters {
-		ref := ds.Clusters[i].Ref
-		for k := range ds.Clusters[i].Reads {
-			if !r.Bool(cs.P) {
-				continue
-			}
-			// Pick a distinct partner and a splice point, then re-transmit
-			// the chimeric template through the channel.
-			j := r.Intn(len(refs) - 1)
-			if j >= i {
-				j++
-			}
-			partner := refs[j]
-			template := spliceTemplates(ref, partner, r)
-			ds.Clusters[i].Reads[k] = cs.Channel.Transmit(template, r)
+	if p > 0 && len(refs) < 2 {
+		return nil, fmt.Errorf("channel: chimera needs at least 2 references, got %d", len(refs))
+	}
+	return &Chimera{Base: base, Refs: refs, P: p}, nil
+}
+
+// Name implements Channel.
+func (c *Chimera) Name() string {
+	return fmt.Sprintf("%s+chimera(%.3f)", c.Base.Name(), c.P)
+}
+
+// Transmit implements Channel. The chimera draw consumes nothing at P=0,
+// so a zero-rate Chimera is draw-for-draw its base channel.
+func (c *Chimera) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+	if r.Bool(c.P) {
+		// A partner other than ref, uniform over the rest of the pool: the
+		// last reference stands in for ref's own slot.
+		n := len(c.Refs)
+		partner := c.Refs[r.Intn(n-1)]
+		if partner == ref {
+			partner = c.Refs[n-1]
 		}
+		ref = spliceTemplates(ref, partner, r)
 	}
-	return ds
+	return c.Base.Transmit(ref, r)
 }
 
 // spliceTemplates joins a prefix of a with a suffix of b at a uniform

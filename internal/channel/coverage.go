@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 
+	"dnastore/internal/dna"
 	"dnastore/internal/rng"
 )
 
@@ -15,6 +16,17 @@ type CoverageModel interface {
 	Sample(clusterIndex int, r *rng.RNG) int
 	// Name identifies the model in tables.
 	Name() string
+}
+
+// RefAwareCoverage is an optional extension of CoverageModel for models
+// whose read count depends on the reference strand itself (PCR prefers
+// some sequences over others — Heckel et al.'s observation in §2.1).
+// Simulator detects it by type assertion; Pipeline.BindCoverage returns
+// one, so ref-aware pool stages (GCBias) see each cluster's reference.
+type RefAwareCoverage interface {
+	CoverageModel
+	// SampleRef returns the read count for the given reference strand.
+	SampleRef(ref dna.Strand, clusterIndex int, r *rng.RNG) int
 }
 
 // FixedCoverage gives every cluster exactly N reads.
@@ -92,10 +104,31 @@ func (n NormalCoverage) Name() string {
 	return fmt.Sprintf("normal(μ=%.1f,σ=%.1f)", n.Mean, n.SD)
 }
 
+// CoverageByName builds the coverage model the CLIs and job specs name:
+// "fixed" (or empty) gives every cluster int(mean) reads, "negbin" draws
+// with dispersion 2.5, "poisson" with the given mean, and "normal" with
+// SD mean/3.
+func CoverageByName(name string, mean float64) (CoverageModel, error) {
+	switch name {
+	case "", "fixed":
+		return FixedCoverage(int(mean)), nil
+	case "negbin":
+		return NegBinCoverage{Mean: mean, Dispersion: 2.5}, nil
+	case "poisson":
+		return PoissonCoverage(mean), nil
+	case "normal":
+		return NormalCoverage{Mean: mean, SD: mean / 3}, nil
+	}
+	return nil, fmt.Errorf("unknown coverage model %q", name)
+}
+
 // ErasureCoverage wraps another model and zeroes each cluster's coverage
 // with probability P, modelling whole-strand loss (failed PCR
 // amplification or storage decay — the 16 empty clusters in the Nanopore
-// dataset).
+// dataset). It is also the `-faults dropout=P` injector. It stays a
+// decorator, not a pool stage, because its draw precedes the base
+// coverage draw; a pool stage's would follow it, changing every dropout
+// dataset.
 type ErasureCoverage struct {
 	Base CoverageModel
 	P    float64
@@ -109,7 +142,8 @@ func (e ErasureCoverage) Sample(i int, r *rng.RNG) int {
 	return e.Base.Sample(i, r)
 }
 
-// Name implements CoverageModel.
+// Name implements CoverageModel. The rendering is part of
+// Simulator.Describe, which keys dnasim and dnasimd checkpoint journals.
 func (e ErasureCoverage) Name() string {
-	return fmt.Sprintf("%s+erasures(%.4f)", e.Base.Name(), e.P)
+	return fmt.Sprintf("%s+dropout(%.3f)", e.Base.Name(), e.P)
 }

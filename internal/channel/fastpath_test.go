@@ -149,3 +149,37 @@ func TestScratchConcurrentReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendTransmitZeroAlloc is the exact allocation gate for the three
+// packed kernels every simulation worker runs: once the arena is warm, a
+// read through second-order + spatial Model, DNASimulator or the 4-stage
+// pipeline allocates nothing. dnabench's zero-alloc workloads measure the
+// same kernels; this test fails on any allocation without a timing run.
+func TestAppendTransmitZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   AppendTransmitter
+	}{
+		{"secondorder-spatial", goldenModelSecondOrder()},
+		{"dnasimulator", NewDNASimulator("alloc", DefaultNanoporeDict())},
+		{"pipeline-4stage", NewStoragePipeline("alloc-pipe", 0.059, 10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := RandomReferences(1, 110, 42)[0]
+			r := rng.New(99)
+			var scr Scratch
+			codes := scr.RefBases(ref)
+			// Warm the plan cache and grow the buffers past any read this
+			// stream can produce.
+			dst := make([]byte, 0, 1024)
+			for i := 0; i < 100; i++ {
+				dst = tc.at.AppendTransmit(dst[:0], codes, r, &scr)
+			}
+			if a := testing.AllocsPerRun(1000, func() {
+				dst = tc.at.AppendTransmit(dst[:0], codes, r, &scr)
+			}); a != 0 {
+				t.Errorf("%v allocs per AppendTransmit, want 0", a)
+			}
+		})
+	}
+}

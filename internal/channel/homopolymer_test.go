@@ -109,7 +109,7 @@ func TestHomopolymerNoRunsPassThrough(t *testing.T) {
 }
 
 func TestGCBiasCoverage(t *testing.T) {
-	bias := GCBiasCoverage{Base: FixedCoverage(40), Strength: 2}
+	bias := GCBias{Strength: 2}
 	r := rng.New(3)
 	balanced := dna.Strand(strings.Repeat("ACGT", 25)) // GC 0.5
 	extreme := dna.Strand(strings.Repeat("GGCC", 25))  // GC 1.0
@@ -117,7 +117,7 @@ func TestGCBiasCoverage(t *testing.T) {
 	sum := func(ref dna.Strand) float64 {
 		total := 0
 		for i := 0; i < 2000; i++ {
-			total += bias.SampleRef(ref, i, r)
+			total += bias.PoolCoverage(ref, i, 40, r)
 		}
 		return float64(total) / 2000
 	}
@@ -132,16 +132,15 @@ func TestGCBiasCoverage(t *testing.T) {
 	if math.Abs(e-40*math.Exp(-2)) > 1 {
 		t.Errorf("extreme coverage = %v, want ≈%v", e, 40*math.Exp(-2))
 	}
-	// Plain Sample ignores the reference.
-	if bias.Sample(0, r) != 40 {
-		t.Error("Sample should pass through the base")
+	// Without a reference the count passes through.
+	if bias.PoolCoverage("", 0, 40, r) != 40 {
+		t.Error("an empty reference should pass the count through")
 	}
-	if !strings.Contains(bias.Name(), "gcbias") {
-		t.Errorf("Name = %q", bias.Name())
+	if !strings.Contains(bias.StageName(), "gcbias") {
+		t.Errorf("StageName = %q", bias.StageName())
 	}
 	// Zero strength is a no-op.
-	noop := GCBiasCoverage{Base: FixedCoverage(7)}
-	if noop.SampleRef(extreme, 0, r) != 7 {
+	if (GCBias{}).PoolCoverage(extreme, 0, 7, r) != 7 {
 		t.Error("zero strength should not thin")
 	}
 }
@@ -153,7 +152,7 @@ func TestSimulatorUsesRefAwareCoverage(t *testing.T) {
 	}
 	sim := Simulator{
 		Channel:  NewNaive("n", Rates{}),
-		Coverage: GCBiasCoverage{Base: FixedCoverage(30), Strength: 3},
+		Coverage: Pipeline{Stages: []Stage{GCBias{Strength: 3}}}.BindCoverage(FixedCoverage(30)),
 	}
 	ds := sim.Simulate("gc", refs, 5)
 	if ds.Clusters[0].Coverage() <= ds.Clusters[1].Coverage() {

@@ -47,8 +47,8 @@ import (
 //
 // RNG-draw preservation contract: a compiled plan consumes exactly the
 // same RNG draws, in the same order, against selection boundaries exactly
-// equivalent to the reference implementation's (transmitReference in
-// model.go). The cumulative-threshold tables mirror the reference float
+// equivalent to the reference implementation's (transmitReference, kept
+// as a test oracle in model_ref_test.go). The cumulative-threshold tables mirror the reference float
 // expression shapes (same operand order, same associativity) before the
 // exact grid conversion above. The rare-event samplers are subtler: the
 // reference selects by a subtraction chain (u -= w; if u < 0), whose
@@ -167,7 +167,7 @@ type basePlan struct {
 }
 
 // subSampler draws the replacement base for a substitution of one specific
-// reference base, reproducing Model.sampleSub draw-for-draw.
+// reference base, reproducing the oracle's Model.sampleSub draw-for-draw.
 type subSampler struct {
 	// uniform is true when the confusion row is all-zero: one Intn(3) draw.
 	uniform bool
@@ -197,8 +197,8 @@ func (s *subSampler) sample(b dna.Base, d *rng.Batch) byte {
 	return s.fallback
 }
 
-// insSampler draws the inserted base, reproducing Model.sampleIns
-// draw-for-draw.
+// insSampler draws the inserted base, reproducing the oracle's
+// Model.sampleIns draw-for-draw.
 type insSampler struct {
 	// uniform is true when InsDist is all-zero: one Intn(4) draw.
 	uniform bool
@@ -218,7 +218,7 @@ func (s *insSampler) sample(d *rng.Batch) byte {
 	return dna.Base(j).Byte()
 }
 
-// longDelSampler draws a burst length, reproducing
+// longDelSampler draws a burst length, reproducing the oracle's
 // LongDeletion.sampleLen draw-for-draw.
 type longDelSampler struct {
 	// cdf holds the exact grid boundaries of each burst length;

@@ -11,25 +11,28 @@ import (
 
 // Pool stages: the population shape of Stage. A pool stage does not touch
 // individual reads — it rewrites how many reads a cluster contributes to
-// the pool, which is where PCR amplification skew, strand breakage and
-// decay dropout actually act (Heckel et al.). Pipeline.BindCoverage
-// layers the pipeline's pool stages over a base CoverageModel in stage
-// order.
+// the pool, which is where PCR amplification skew, GC bias, strand
+// breakage and decay dropout actually act (Heckel et al.). These are the
+// channel's count effects; effects on one read at a time (chimeras,
+// truncation) are Channels. Pipeline.BindCoverage layers the pipeline's
+// pool stages over a base CoverageModel in stage order.
 //
 // The RNG draw-order contract (DESIGN.md §16): all pool draws come from
 // the per-cluster RNG, after the base coverage draw and before any read
 // is generated. The number of draws a pool stage consumes may depend only
-// on the cluster index and the incoming count — never on which worker or
-// shard runs the cluster — so pipeline output stays deterministic,
-// worker-invariant and fleet-merge-safe.
+// on the cluster's reference, index and incoming count — never on which
+// worker or shard runs the cluster — so pipeline output stays
+// deterministic, worker-invariant and fleet-merge-safe.
 
 // PoolStage is a Stage that transforms the cluster population.
 type PoolStage interface {
 	Stage
-	// PoolCoverage maps cluster clusterIndex's read count entering the
-	// stage (n) to the count leaving it, drawing any randomness from r.
-	// Results are clamped to >= 0 by the binding coverage model.
-	PoolCoverage(clusterIndex, n int, r *rng.RNG) int
+	// PoolCoverage maps the read count entering the stage (n) for cluster
+	// clusterIndex, whose reference is ref, to the count leaving it,
+	// drawing any randomness from r. ref is empty when the caller samples
+	// without a reference (CoverageModel.Sample). Results are clamped to
+	// >= 0 by the binding coverage model.
+	PoolCoverage(ref dna.Strand, clusterIndex, n int, r *rng.RNG) int
 }
 
 // BindCoverage layers the pipeline's pool stages over a base coverage
@@ -38,7 +41,8 @@ type PoolStage interface {
 // per-cluster RNG, before read generation. Pipelines without pool stages
 // return base unchanged, so binding is always safe (and keeps existing
 // coverage names and draw streams byte-identical for strand-only
-// pipelines).
+// pipelines). The bound model implements RefAwareCoverage, so ref-aware
+// stages such as GCBias see each cluster's reference.
 func (p Pipeline) BindCoverage(base CoverageModel) CoverageModel {
 	var pool []PoolStage
 	for _, st := range p.Stages {
@@ -49,11 +53,7 @@ func (p Pipeline) BindCoverage(base CoverageModel) CoverageModel {
 	if len(pool) == 0 {
 		return base
 	}
-	pc := pooledCoverage{base: base, stages: pool}
-	if ra, ok := base.(RefAwareCoverage); ok {
-		return refAwarePooledCoverage{pooledCoverage: pc, ra: ra}
-	}
-	return pc
+	return pooledCoverage{base: base, stages: pool}
 }
 
 // pooledCoverage is the CoverageModel BindCoverage builds.
@@ -62,15 +62,17 @@ type pooledCoverage struct {
 	stages []PoolStage
 }
 
-// Sample implements CoverageModel.
+// Sample implements CoverageModel: SampleRef without a reference.
 func (p pooledCoverage) Sample(i int, r *rng.RNG) int {
-	return p.apply(i, p.base.Sample(i, r), r)
+	return p.SampleRef("", i, r)
 }
 
-// apply runs the pool stages over an initial count.
-func (p pooledCoverage) apply(i, n int, r *rng.RNG) int {
+// SampleRef implements RefAwareCoverage: the base count first, then every
+// pool stage in order.
+func (p pooledCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
+	n := p.base.Sample(i, r)
 	for _, st := range p.stages {
-		n = st.PoolCoverage(i, n, r)
+		n = st.PoolCoverage(ref, i, n, r)
 		if n < 0 {
 			n = 0
 		}
@@ -85,19 +87,6 @@ func (p pooledCoverage) Name() string {
 		names[i] = st.StageName()
 	}
 	return fmt.Sprintf("%s+pool(%s)", p.base.Name(), strings.Join(names, "→"))
-}
-
-// refAwarePooledCoverage preserves the base model's RefAwareCoverage
-// extension through the pool binding: the base still sees the reference
-// strand, the pool stages rewrite its count.
-type refAwarePooledCoverage struct {
-	pooledCoverage
-	ra RefAwareCoverage
-}
-
-// SampleRef implements RefAwareCoverage.
-func (p refAwarePooledCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
-	return p.apply(i, p.ra.SampleRef(ref, i, r), r)
 }
 
 // DefaultPCREfficiencySD is the per-cycle standard deviation of
@@ -142,7 +131,7 @@ func NewPCRAmplification(cycles int, perCycleSubRate, efficiencySD float64) *PCR
 // cluster's amplification factor exp(N(-σ²/2, σ)) with σ = EfficiencySD·√Cycles.
 // The -σ²/2 location keeps the factor's expectation at exactly 1, so the
 // skew spreads coverage without inflating its mean.
-func (p *PCRAmplification) PoolCoverage(_, n int, r *rng.RNG) int {
+func (p *PCRAmplification) PoolCoverage(_ dna.Strand, _, n int, r *rng.RNG) int {
 	if p.EfficiencySD <= 0 || n <= 0 {
 		return n
 	}
@@ -180,9 +169,33 @@ func NewAgingStage(years, ratePerYear, breakagePerYear float64) *AgingStage {
 
 // PoolCoverage implements PoolStage: binomial thinning at the survival
 // probability.
-func (a *AgingStage) PoolCoverage(_, n int, r *rng.RNG) int {
+func (a *AgingStage) PoolCoverage(_ dna.Strand, _, n int, r *rng.RNG) int {
 	if a.Years <= 0 || a.BreakagePerYear <= 0 || n <= 0 {
 		return n
 	}
 	return r.Binomial(n, math.Exp(-a.Years*a.BreakagePerYear))
+}
+
+// GCBias is the PCR bias DNASimulator does not model (§2.2.3), as a pool
+// stage: amplification efficiency decays exponentially as a strand's
+// GC-ratio deviates from 50%, which both skews the copy-number
+// distribution and silently erases extreme strands.
+type GCBias struct {
+	// Strength controls the decay: each copy survives with probability
+	// exp(-Strength · |GC − 0.5| · 2). Zero disables the bias (and
+	// consumes no draws).
+	Strength float64
+}
+
+// StageName implements Stage.
+func (g GCBias) StageName() string { return fmt.Sprintf("gcbias(%.1f)", g.Strength) }
+
+// PoolCoverage implements PoolStage: binomial thinning at the strand's
+// survival probability. Without a reference the count passes through.
+func (g GCBias) PoolCoverage(ref dna.Strand, _, n int, r *rng.RNG) int {
+	if g.Strength <= 0 || n <= 0 || ref.Len() == 0 {
+		return n
+	}
+	deviation := math.Abs(ref.GCRatio()-0.5) * 2 // 0 at balance, 1 at extreme
+	return r.Binomial(n, math.Exp(-g.Strength*deviation))
 }

@@ -15,7 +15,7 @@ func TestPCRAmplificationSkewMeanPreserved(t *testing.T) {
 	const n, trials = 1000, 5000
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		sum += float64(p.PoolCoverage(i, n, r))
+		sum += float64(p.PoolCoverage("", i, n, r))
 	}
 	mean := sum / trials
 	// E[exp(N(-σ²/2, σ))] = 1: the skew spreads coverage, not its mean.
@@ -26,10 +26,10 @@ func TestPCRAmplificationSkewMeanPreserved(t *testing.T) {
 
 func TestPCRAmplificationDisabledConsumesNoDraws(t *testing.T) {
 	r1, r2 := rng.New(7), rng.New(7)
-	if got := NewPCRAmplification(30, 0, 0).PoolCoverage(0, 12, r1); got != 12 {
+	if got := NewPCRAmplification(30, 0, 0).PoolCoverage("", 0, 12, r1); got != 12 {
 		t.Errorf("disabled skew rewrote count to %d", got)
 	}
-	if got := NewPCRAmplification(30, 0, 0.02).PoolCoverage(0, 0, r1); got != 0 {
+	if got := NewPCRAmplification(30, 0, 0.02).PoolCoverage("", 0, 0, r1); got != 0 {
 		t.Errorf("empty cluster rewrote count to %d", got)
 	}
 	if r1.Uint64() != r2.Uint64() {
@@ -44,7 +44,7 @@ func TestAgingStageThinning(t *testing.T) {
 	const n, trials = 100, 3000
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		got := a.PoolCoverage(i, n, r)
+		got := a.PoolCoverage("", i, n, r)
 		if got < 0 || got > n {
 			t.Fatalf("thinning produced %d reads from %d", got, n)
 		}
@@ -55,7 +55,7 @@ func TestAgingStageThinning(t *testing.T) {
 	}
 
 	r1, r2 := rng.New(8), rng.New(8)
-	if got := NewAgingStage(0, 0, DefaultBreakagePerYear).PoolCoverage(0, 9, r1); got != 9 {
+	if got := NewAgingStage(0, 0, DefaultBreakagePerYear).PoolCoverage("", 0, 9, r1); got != 9 {
 		t.Errorf("zero-year aging rewrote count to %d", got)
 	}
 	if r1.Uint64() != r2.Uint64() {
@@ -108,17 +108,17 @@ func TestBindCoveragePoolStages(t *testing.T) {
 	}
 }
 
-// TestBindCoverageForwardsRefAware: a ref-aware base (GC bias) keeps its
-// SampleRef extension through the pool binding, with the pool stages
-// applied on top of the ref-aware count.
+// TestBindCoverageForwardsRefAware: the bound model is ref-aware, so a
+// GC-bias stage among the pool stages sees each cluster's reference and
+// thins it on top of the other stages' counts.
 func TestBindCoverageForwardsRefAware(t *testing.T) {
 	pipe := NewPhysicalPipeline("phys", 0.059, 100)
-	base := GCBiasCoverage{Base: FixedCoverage(50), Strength: 2}
-	cov := pipe.BindCoverage(base)
+	pipe.Stages = append(pipe.Stages, GCBias{Strength: 2})
+	cov := pipe.BindCoverage(FixedCoverage(50))
 
 	ra, ok := cov.(RefAwareCoverage)
 	if !ok {
-		t.Fatal("pool binding dropped RefAwareCoverage")
+		t.Fatal("pool binding is not RefAwareCoverage")
 	}
 	balanced := dna.Strand("ACGTACGTACGTACGTACGT")
 	extreme := dna.Strand("GGGGGGGGGGCCCCCCCCCC")
@@ -129,6 +129,10 @@ func TestBindCoverageForwardsRefAware(t *testing.T) {
 	}
 	if sumExt >= sumBal {
 		t.Errorf("GC bias lost through pool binding: extreme %d >= balanced %d", sumExt, sumBal)
+	}
+	// Sample is SampleRef without a reference: GC bias passes through.
+	if a, b := cov.Sample(3, rng.New(9)), ra.SampleRef("", 3, rng.New(9)); a != b {
+		t.Errorf("Sample = %d, SampleRef(\"\") = %d", a, b)
 	}
 }
 
@@ -144,5 +148,5 @@ func TestPoolCoverageNeverNegative(t *testing.T) {
 
 type negPool struct{}
 
-func (negPool) StageName() string                     { return "neg" }
-func (negPool) PoolCoverage(_, _ int, _ *rng.RNG) int { return -3 }
+func (negPool) StageName() string                                   { return "neg" }
+func (negPool) PoolCoverage(_ dna.Strand, _, _ int, _ *rng.RNG) int { return -3 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dnastore/internal/dataset"
+	"dnastore/internal/dna"
 )
 
 // writeBytes renders a dataset through the canonical text writer.
@@ -26,11 +27,25 @@ func writeBytes(t *testing.T, ds *dataset.Dataset) []byte {
 func TestSimulateRangeConcatIdentity(t *testing.T) {
 	const seed = 42
 	refs := RandomReferences(97, 60, seed^0xbeef)
-	sim := Simulator{
+	checkRangeConcat(t, Simulator{
 		Channel:  NewNaive("rangetest", Rates{Sub: 0.02, Ins: 0.01, Del: 0.03}),
 		Coverage: NegBinCoverage{Mean: 5, Dispersion: 2.5},
-	}
+	}, refs, seed)
+}
 
+// TestChimeraRangeConcatIdentity: chimera draws come from the per-cluster
+// RNG, so chimeric datasets shard like any other.
+func TestChimeraRangeConcatIdentity(t *testing.T) {
+	const seed = 43
+	refs := RandomReferences(97, 60, seed^0xbeef)
+	checkRangeConcat(t, chimeraSim(t, NewNaive("rangetest", Rates{Sub: 0.02, Ins: 0.01, Del: 0.03}),
+		refs, 0.2, NegBinCoverage{Mean: 5, Dispersion: 2.5}), refs, seed)
+}
+
+// checkRangeConcat asserts that uneven cluster-range shards of sim,
+// concatenated in range order, serialize to the bytes of one full run.
+func checkRangeConcat(t *testing.T, sim Simulator, refs []dna.Strand, seed uint64) {
+	t.Helper()
 	full, err := sim.SimulateCtx(context.Background(), "simulated", refs, seed)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
@@ -62,15 +77,28 @@ func TestSimulateRangeConcatIdentity(t *testing.T) {
 // written by one interrupted run is resumed by a second run, and the shard
 // output stays byte-identical to an uninterrupted range run.
 func TestSimulateRangeCheckpointResume(t *testing.T) {
-	const (
-		seed         = 7
-		first, count = 20, 30
-	)
+	const seed = 7
 	refs := RandomReferences(64, 50, seed^0x5a5a)
-	sim := Simulator{
+	checkRangeResume(t, Simulator{
 		Channel:  NewNaive("rangetest", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
 		Coverage: FixedCoverage(4),
-	}
+	}, refs, seed)
+}
+
+// TestChimeraCheckpointResume: a resumed chimeric shard is byte-identical
+// to an uninterrupted one — no chimera depends on an earlier cluster.
+func TestChimeraCheckpointResume(t *testing.T) {
+	const seed = 8
+	refs := RandomReferences(64, 50, seed^0x5a5a)
+	checkRangeResume(t, chimeraSim(t, NewNaive("rangetest", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
+		refs, 0.2, FixedCoverage(4)), refs, seed)
+}
+
+// checkRangeResume interrupts a checkpointed range run of sim, resumes it
+// from the journal and compares the result with an uninterrupted run.
+func checkRangeResume(t *testing.T, sim Simulator, refs []dna.Strand, seed uint64) {
+	t.Helper()
+	const first, count = 20, 30
 	want, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, first, count)
 	if err != nil {
 		t.Fatalf("reference range run: %v", err)

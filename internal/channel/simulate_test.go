@@ -398,6 +398,24 @@ func TestCoverageModels(t *testing.T) {
 	}
 }
 
+func TestCoverageByName(t *testing.T) {
+	for name, want := range map[string]CoverageModel{
+		"":        FixedCoverage(9),
+		"fixed":   FixedCoverage(9),
+		"negbin":  NegBinCoverage{Mean: 9, Dispersion: 2.5},
+		"poisson": PoissonCoverage(9),
+		"normal":  NormalCoverage{Mean: 9, SD: 3},
+	} {
+		got, err := CoverageByName(name, 9)
+		if err != nil || got != want {
+			t.Errorf("CoverageByName(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := CoverageByName("gamma", 9); err == nil || err.Error() != `unknown coverage model "gamma"` {
+		t.Errorf("unknown name: %v", err)
+	}
+}
+
 func TestSimulatorDescribe(t *testing.T) {
 	sim := Simulator{Channel: NewNaive("n", EqualMix(0.01)), Coverage: FixedCoverage(5)}
 	d := sim.Describe()

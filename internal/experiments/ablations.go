@@ -49,36 +49,6 @@ func ExtTwoWayIterative(wb *Workbench) (Table, error) {
 	return t, nil
 }
 
-// AblationStages evaluates the §4.2 recommendation: a composable
-// multi-stage pipeline (synthesis → PCR → storage → sequencing) versus a
-// single aggregate-error pass at the same total error rate.
-func AblationStages(scale Scale) Table {
-	t := Table{
-		ID:      "abl.stages",
-		Title:   "Single-pass aggregate channel vs composable multi-stage pipeline (equal total error)",
-		Headers: []string{"Channel", "Aggregate rate", "Iter per-strand (%)", "Iter per-char (%)"},
-	}
-	refs := channel.RandomReferences(scale.Clusters, 110, scale.Seed+600)
-	single := channel.NewNaive("single-pass", channel.NanoporeMix(0.059))
-	pipe := channel.NewStoragePipeline("4-stage pipeline", 0.059, 10)
-	for _, ch := range []channel.Channel{single, pipe} {
-		sim := channel.Simulator{Channel: ch, Coverage: channel.FixedCoverage(6)}
-		ds := sim.Simulate(ch.Name(), refs, scale.Seed+601)
-		ps, pc := reconstructAccuracy(recon.NewIterative(), ds)
-		agg := 0.0
-		switch m := ch.(type) {
-		case interface{ AggregateRate() (float64, bool) }:
-			// Pipelines report whether the sum covers every stage; both
-			// channels here are fully reporting, so the flag is unused.
-			agg, _ = m.AggregateRate()
-		case interface{ AggregateRate() float64 }:
-			agg = m.AggregateRate()
-		}
-		t.Rows = append(t.Rows, []string{ch.Name(), fmt.Sprintf("%.4f", agg), pct(ps), pct(pc)})
-	}
-	return t
-}
-
 // AblationBMAWindow sweeps the BMA look-ahead window — a design choice
 // DESIGN.md flags for ablation.
 func AblationBMAWindow(scale Scale) Table {

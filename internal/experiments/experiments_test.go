@@ -321,10 +321,6 @@ func TestExtTwoWayIterative(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	scale := Scale{Clusters: 200, Seed: 7}
-	stages := AblationStages(scale)
-	if len(stages.Rows) != 2 {
-		t.Fatalf("stages rows = %d", len(stages.Rows))
-	}
 	win := AblationBMAWindow(scale)
 	if len(win.Rows) != 5 {
 		t.Fatalf("window rows = %d", len(win.Rows))

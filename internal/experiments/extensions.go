@@ -79,7 +79,7 @@ func AblationCoverageModels(scale Scale) Table {
 		channel.PoissonCoverage(8),
 		channel.NegBinCoverage{Mean: 8, Dispersion: 2},
 		channel.NormalCoverage{Mean: 8, SD: 3},
-		channel.GCBiasCoverage{Base: channel.FixedCoverage(8), Strength: 1.5},
+		channel.Pipeline{Stages: []channel.Stage{channel.GCBias{Strength: 1.5}}}.BindCoverage(channel.FixedCoverage(8)),
 	}
 	for i, cov := range models {
 		sim := channel.Simulator{Channel: ch, Coverage: cov}

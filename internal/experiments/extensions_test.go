@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -128,5 +129,31 @@ func TestExtChimera(t *testing.T) {
 	// Weighting recovers some of the loss at the highest rate.
 	if parse(3, 2) <= parse(3, 1)-0.5 {
 		t.Errorf("weighted (%.2f) below plain (%.2f) under chimeras", parse(3, 2), parse(3, 1))
+	}
+}
+
+// TestExtStageConvergence: at equal aggregate rate, the single-pass
+// channel reconstructs better than the 4-stage strand pipeline at N=6 —
+// the §4.2 finding that composing stages concentrates errors.
+func TestExtStageConvergence(t *testing.T) {
+	tab := ExtStageConvergence(Scale{Clusters: 200, Seed: 7})
+	if len(tab.Rows) != 25 {
+		t.Fatalf("got %d rows", len(tab.Rows))
+	}
+	perStrand := func(channel string) float64 {
+		for i, row := range tab.Rows {
+			if row[0] == channel && row[3] == "6" {
+				return cell(t, tab, i, 4)
+			}
+		}
+		t.Fatalf("no N=6 row for %q", channel)
+		return 0
+	}
+	single, staged := perStrand("single-pass aggregate"), perStrand("4-stage strand")
+	if single <= staged {
+		t.Errorf("single-pass per-strand %.2f not above 4-stage strand %.2f at N=6", single, staged)
+	}
+	if agg := cell(t, tab, 0, 1); math.Abs(agg-0.059) > 1e-9 {
+		t.Errorf("single-pass aggregate rate = %v, want 0.059", agg)
 	}
 }

@@ -116,10 +116,6 @@ func Registry() []Entry {
 			},
 		},
 		{
-			ID: "abl.stages", Description: "Aggregate single-pass vs multi-stage pipeline",
-			Run: func(_ *Workbench, scale Scale) ([]Result, error) { return []Result{AblationStages(scale)}, nil },
-		},
-		{
 			ID: "abl.window", Description: "BMA look-ahead window sweep",
 			Run: func(_ *Workbench, scale Scale) ([]Result, error) { return []Result{AblationBMAWindow(scale)}, nil },
 		},

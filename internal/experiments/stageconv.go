@@ -19,7 +19,7 @@ func ExtStageConvergence(scale Scale) Table {
 	t := Table{
 		ID:      "ext.stageconv",
 		Title:   "Iterative convergence per stage combination (equal aggregate rate, coverage sweep)",
-		Headers: []string{"Channel", "Pool stages", "N", "Iter per-strand (%)", "Iter per-char (%)"},
+		Headers: []string{"Channel", "Aggregate rate", "Pool stages", "N", "Iter per-strand (%)", "Iter per-char (%)"},
 	}
 	const total = 0.059
 	const years = 100.0
@@ -28,6 +28,9 @@ func ExtStageConvergence(scale Scale) Table {
 		name string
 		pipe channel.Pipeline
 	}
+	singlePass := channel.Pipeline{Label: "single-pass aggregate", Stages: []channel.Stage{
+		channel.NewNaive("single-pass", channel.NanoporeMix(total)),
+	}}
 	seqOnly := channel.Pipeline{Label: "sequencing", Stages: []channel.Stage{
 		channel.NewSequencingStage(channel.NanoporeMix(total), channel.PaperLongDeletion(), nil),
 	}}
@@ -40,11 +43,13 @@ func ExtStageConvergence(scale Scale) Table {
 
 	refs := channel.RandomReferences(scale.Clusters, 110, scale.Seed+1400)
 	for ci, c := range []combo{
+		{"single-pass aggregate", singlePass},
 		{"sequencing only", seqOnly},
 		{"synthesis→sequencing", synthSeq},
 		{"4-stage strand", staged},
 		{"4-stage physical (pool)", physical},
 	} {
+		agg, _ := c.pipe.AggregateRate() // every stage here reports its rate
 		for ni, n := range []int{2, 4, 6, 8, 10} {
 			base := channel.FixedCoverage(n)
 			bound := c.pipe.BindCoverage(base)
@@ -56,7 +61,7 @@ func ExtStageConvergence(scale Scale) Table {
 			ds := sim.Simulate(c.name, refs, scale.Seed+1401+uint64(ci*100+ni))
 			ps, pc := reconstructAccuracy(recon.NewIterative(), ds)
 			t.Rows = append(t.Rows, []string{
-				c.name, poolCol, fmt.Sprintf("%d", n), pct(ps), pct(pc),
+				c.name, fmt.Sprintf("%.4f", agg), poolCol, fmt.Sprintf("%d", n), pct(ps), pct(pc),
 			})
 		}
 	}

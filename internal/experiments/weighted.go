@@ -54,13 +54,13 @@ func ExtChimera(scale Scale) Table {
 		Headers: []string{"Chimera rate", "Iterative ps/pc (%)", "Weighted ps/pc (%)"},
 	}
 	refs := channel.RandomReferences(scale.Clusters, 110, scale.Seed+1800)
-	base := channel.Simulator{
-		Channel:  channel.NewNaive("n", channel.NanoporeMix(0.059)),
-		Coverage: channel.FixedCoverage(6),
-	}
+	base := channel.NewNaive("n", channel.NanoporeMix(0.059))
 	for i, p := range []float64{0, 0.05, 0.10, 0.20} {
-		ds := channel.ChimericSimulator{Simulator: base, P: p}.
-			Simulate("chimera", refs, scale.Seed+1801+uint64(i))
+		sim := channel.Simulator{
+			Channel:  &channel.Chimera{Base: base, Refs: refs, P: p},
+			Coverage: channel.FixedCoverage(6),
+		}
+		ds := sim.Simulate("chimera", refs, scale.Seed+1801+uint64(i))
 		row := []string{strconv.FormatFloat(p, 'g', -1, 64)}
 		for _, alg := range []recon.Reconstructor{recon.NewIterative(), recon.NewWeightedIterative()} {
 			ps, pc := reconstructAccuracy(alg, ds)

@@ -7,9 +7,10 @@
 // contiguous plate regions.
 //
 // Each injector wraps an existing channel.Channel or channel.CoverageModel
-// and draws only from the RNG it is handed, so faulted datasets stay
-// deterministic under the simulator's split-RNG scheme: same seed + same
-// fault spec ⇒ byte-identical output. A Spec parses the CLI-facing
+// (cluster dropout is channel.ErasureCoverage) and draws only from the RNG
+// it is handed, so faulted datasets stay deterministic under the
+// simulator's split-RNG scheme: same seed + same fault spec ⇒
+// byte-identical output. A Spec parses the CLI-facing
 // `-faults` string into a bundle of injectors, and CorruptPool damages
 // serialized pool files for exercising loader hardening.
 package faults
@@ -21,32 +22,6 @@ import (
 	"dnastore/internal/dna"
 	"dnastore/internal/rng"
 )
-
-// ClusterDropout wraps a CoverageModel and zeroes whole clusters with
-// probability P, modelling strand dropout. Unlike channel.ErasureCoverage
-// (which models the natural erasures observed in the wetlab data), this is
-// the injector half of a fault drill: the dropout draw comes from the
-// per-cluster RNG, so a fresh sequencing seed re-rolls which clusters
-// vanish — exactly what an adaptive re-sequencing retry exploits.
-type ClusterDropout struct {
-	// Base supplies the coverage of surviving clusters.
-	Base channel.CoverageModel
-	// P is the per-cluster dropout probability.
-	P float64
-}
-
-// Sample implements channel.CoverageModel.
-func (d ClusterDropout) Sample(i int, r *rng.RNG) int {
-	if r.Bool(d.P) {
-		return 0
-	}
-	return d.Base.Sample(i, r)
-}
-
-// Name implements channel.CoverageModel.
-func (d ClusterDropout) Name() string {
-	return fmt.Sprintf("%s+dropout(%.3f)", d.Base.Name(), d.P)
-}
 
 // ZeroCoverageRegion zeroes every cluster whose index lies in
 // [Start, Start+Len), modelling a spatially localised synthesis or plate

@@ -21,7 +21,7 @@ import (
 //
 // e.g. "dropout=0.1,truncate=0.3:0.5,contam=0.02".
 type Spec struct {
-	// Dropout is the ClusterDropout probability (0 disables).
+	// Dropout is the channel.ErasureCoverage probability (0 disables).
 	Dropout float64
 	// TruncP and TruncMinFrac configure ReadTruncation (TruncP 0 disables).
 	TruncP, TruncMinFrac float64
@@ -121,7 +121,7 @@ func (sp Spec) Wrap(ch channel.Channel, cov channel.CoverageModel) (channel.Chan
 		ch = ReadTruncation{Base: ch, P: sp.TruncP, MinFrac: sp.TruncMinFrac}
 	}
 	if sp.Dropout > 0 {
-		cov = ClusterDropout{Base: cov, P: sp.Dropout}
+		cov = channel.ErasureCoverage{Base: cov, P: sp.Dropout}
 	}
 	if sp.ZeroLen > 0 {
 		cov = ZeroCoverageRegion{Base: cov, Start: sp.ZeroStart, Len: sp.ZeroLen}

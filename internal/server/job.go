@@ -82,8 +82,8 @@ type SimulateSpec struct {
 	// raw string is part of the fingerprint, so identical stage specs
 	// shard, cache and resume together across dnasimd and the fleet.
 	Stages string `json:"stages,omitempty"`
-	// Coverage is the reads-per-cluster target; CoverageModel picks the
-	// sampler (fixed, negbin, poisson, normal; fixed when empty).
+	// Coverage is the reads-per-cluster target; CoverageModel names the
+	// sampler for channel.CoverageByName (fixed when empty).
 	Coverage      float64 `json:"coverage,omitempty"`
 	CoverageModel string  `json:"coverage_model,omitempty"`
 	// Faults is a fault-injection spec in the -faults DSL.
@@ -146,10 +146,8 @@ func (sp *SimulateSpec) Validate() error {
 	if sp.Coverage <= 0 {
 		sp.Coverage = 6
 	}
-	switch sp.CoverageModel {
-	case "", "fixed", "negbin", "poisson", "normal":
-	default:
-		return fmt.Errorf("unknown coverage model %q", sp.CoverageModel)
+	if _, err := channel.CoverageByName(sp.CoverageModel, sp.Coverage); err != nil {
+		return err
 	}
 	if sp.Spatial != "" && sp.Spatial != "uniform" {
 		if _, err := dist.ByName(sp.Spatial); err != nil {
@@ -208,18 +206,9 @@ func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, err
 			ch = m.WithSpatial(spat)
 		}
 	}
-	var cov channel.CoverageModel
-	switch sp.CoverageModel {
-	case "", "fixed":
-		cov = channel.FixedCoverage(int(sp.Coverage))
-	case "negbin":
-		cov = channel.NegBinCoverage{Mean: sp.Coverage, Dispersion: 2.5}
-	case "poisson":
-		cov = channel.PoissonCoverage(sp.Coverage)
-	case "normal":
-		cov = channel.NormalCoverage{Mean: sp.Coverage, SD: sp.Coverage / 3}
-	default:
-		return nil, nil, fmt.Errorf("unknown coverage model %q", sp.CoverageModel)
+	cov, err := channel.CoverageByName(sp.CoverageModel, sp.Coverage)
+	if err != nil {
+		return nil, nil, err
 	}
 	if pipe, ok := ch.(channel.Pipeline); ok {
 		cov = pipe.BindCoverage(cov)

@@ -149,7 +149,7 @@ func TestRetrieveAdaptiveRecoversFromDropout(t *testing.T) {
 	// group parity covers, but each retry re-rolls the dropout with a fresh
 	// derived seed, so a bounded retry loop recovers.
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
-		return cleanChannel(), faults.ClusterDropout{Base: channel.FixedCoverage(4), P: 0.5}
+		return cleanChannel(), channel.ErasureCoverage{Base: channel.FixedCoverage(4), P: 0.5}
 	}
 	attemptsSeen := 0
 	pol := RetryPolicy{
