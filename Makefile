@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-race chaos-smoke fuzz-smoke bench bench-check loadcheck fleetcheck
+.PHONY: build test verify verify-race chaos-smoke fuzz-smoke examples-smoke bench bench-check loadcheck fleetcheck
 
 build:
 	$(GO) build ./...
@@ -8,9 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 verification plus the race, chaos and fuzz gates — the target CI
-# runs.
-verify: build test verify-race chaos-smoke fuzz-smoke
+# Tier-1 verification plus the race, chaos, fuzz and example gates — the
+# target CI runs.
+verify: build test verify-race chaos-smoke fuzz-smoke examples-smoke
 
 # Race-detector pass over the concurrent packages: the simulator worker
 # pool and checkpointing (internal/channel), the adaptive retrieve path
@@ -47,6 +47,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzDistanceAtMost -fuzztime=10s ./internal/align/
 	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
+
+# Example smoke: build every examples/* program and run it in a temp dir
+# (calibration and trainingdata write files to the working directory).
+# Each example exits non-zero on an error, a panic or a failed round trip,
+# so a run that exits 0 is a pass.
+examples-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for d in examples/*/; do \
+		name=$$(basename "$$d"); \
+		echo "examples-smoke: $$name"; \
+		$(GO) build -o "$$tmp/$$name" "./$$d" && (cd "$$tmp" && "./$$name" >/dev/null) || \
+			{ echo "examples-smoke: $$name failed"; exit 1; }; \
+	done
 
 # Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
 # plus the machine-readable simulate hot-path measurement CI archives as an

@@ -121,7 +121,6 @@ func main() {
 			wsrv := server.New(server.Config{
 				QueueCapacity: *queueCap,
 				Workers:       *workers,
-				Logf:          func(string, ...any) {},
 			})
 			wln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -165,7 +164,6 @@ func main() {
 		srv := server.New(server.Config{
 			QueueCapacity: *queueCap,
 			Workers:       *workers,
-			Logf:          func(string, ...any) {},
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -133,11 +133,10 @@ func main() {
 	ctx = obs.WithTimer(ctx, stages)
 
 	sim := channel.Simulator{Channel: ch, Coverage: cov}
-	var (
-		ds     *dataset.Dataset
-		simErr error
-		ckpt   *channel.Checkpoint
-	)
+	if *crashAfter > 0 && *ckptPath == "" {
+		fail(errors.New("-crash-after requires -checkpoint"))
+	}
+	var ckpt *channel.Checkpoint
 	if *ckptPath != "" {
 		ckpt, err = channel.OpenCheckpoint(*ckptPath, "simulated", refs, *seed, sim.Describe())
 		if err != nil {
@@ -157,13 +156,10 @@ func main() {
 				}
 			}
 		}
-		ds, simErr = sim.SimulateCheckpoint(ctx, "simulated", refs, *seed, ckpt)
+	}
+	ds, simErr := sim.SimulateRange(ctx, "simulated", refs, *seed, 0, len(refs), ckpt)
+	if ckpt != nil {
 		ckpt.Close()
-	} else {
-		if *crashAfter > 0 {
-			fail(errors.New("-crash-after requires -checkpoint"))
-		}
-		ds, simErr = sim.SimulateCtx(ctx, "simulated", refs, *seed)
 	}
 	if ds == nil {
 		fail(simErr)

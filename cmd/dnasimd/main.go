@@ -136,7 +136,6 @@ func main() {
 			DefaultJobTimeout: *jobTimeout,
 			BreakerThreshold:  *brkFails,
 			BreakerCooldown:   *brkCooldown,
-			Logf:              logger.Printf,
 			Logger:            slogger,
 		})
 		banner = fmt.Sprintf("listening on %s (queue=%d workers=%d data=%q)", *addr, *queueCap, *workers, *dataDir)

@@ -288,9 +288,6 @@ func cmdScrub(args []string) error {
 			}
 		}
 		healthy := rep.Intact() || rep.Legacy
-		if isJournalPath(path) {
-			healthy = durable.JournalIntact(rep) || rep.Legacy
-		}
 		if *repair && rep.Damaged() && rep.Repairable() && !isJournalPath(path) {
 			healthy = true
 			fmt.Printf("  repaired: %s rewritten from parity\n", path)

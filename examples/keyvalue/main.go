@@ -55,11 +55,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("retrieve %q: %w", key, err)
 		}
-		status := "OK"
 		if !bytes.Equal(got, want) {
-			status = "CORRUPTED"
+			return fmt.Errorf("retrieve %q: %d bytes differ from what was stored", key, len(got))
 		}
-		fmt.Printf("  %-12s %4d bytes  %s\n", key, len(got), status)
+		fmt.Printf("  %-12s %4d bytes  OK\n", key, len(got))
 	}
 	return nil
 }

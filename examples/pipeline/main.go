@@ -37,7 +37,7 @@ func run() error {
 	// strand code entirely and fall through to the group code as
 	// erasures, so the group parity must cover the expected share of
 	// low-coverage clusters.
-	arch := codec.Archive{Codec: codec.Trivial2Bit{}, StrandParity: 8, GroupData: 10, GroupParity: 6}
+	arch := codec.Archive{StrandParity: 8, GroupData: 10, GroupParity: 6}
 	primers, err := codec.GeneratePrimers(2, codec.PrimerConfig{}, r)
 	if err != nil {
 		return err

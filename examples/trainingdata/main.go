@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -71,13 +72,13 @@ func run(pairs, cov int, refsOut, readOut, profOut string) error {
 	if err != nil {
 		return err
 	}
-	defer rf.Close()
 	qf, err := os.Create(readOut)
 	if err != nil {
+		rf.Close()
 		return err
 	}
-	defer qf.Close()
-	if err := seqio.WriteDataset(rf, qf, corpus, 20); err != nil {
+	werr := seqio.WriteDataset(rf, qf, corpus, 20)
+	if err := errors.Join(werr, rf.Close(), qf.Close()); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d labeled clusters (%d reads) to %s + %s; calibration in %s\n",

@@ -20,7 +20,7 @@ func BenchmarkTransmitSecondOrderSpatial(b *testing.B) {
 }
 
 // benchTransmit measures Transmit throughput with one RNG per goroutine,
-// parallel across GOMAXPROCS — the shape of real simulateWith traffic.
+// parallel across GOMAXPROCS — the shape of real SimulateRange traffic.
 func benchTransmit(b *testing.B, ch Channel) {
 	refs := RandomReferences(1, 110, 42)
 	ref := refs[0]

@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"sync"
 
-	"dnastore/internal/dataset"
 	"dnastore/internal/dna"
 	"dnastore/internal/durable"
 )
@@ -269,24 +267,3 @@ func (c *Checkpoint) Commit(i int, reads []dna.Strand) error {
 
 // Close closes the underlying journal. The file stays on disk for resume.
 func (c *Checkpoint) Close() error { return c.j.Close() }
-
-// SimulateCheckpoint is SimulateCtx with durable progress: clusters already
-// in ckpt are restored without re-simulation, and each newly completed
-// cluster is committed to the journal before counting as done. Output is
-// byte-identical to an uninterrupted SimulateCtx run with the same
-// arguments, because per-cluster RNGs depend only on (seed, index). A
-// failed Commit surfaces as that cluster's ClusterError.
-func (s Simulator) SimulateCheckpoint(ctx context.Context, name string, refs []dna.Strand, seed uint64, ckpt *Checkpoint) (*dataset.Dataset, error) {
-	return s.simulateWith(ctx, name, refs, seed, 0, len(refs), ckpt)
-}
-
-// SimulateRangeCheckpoint is SimulateRangeCtx with durable progress: the
-// cluster-range shard [first, first+count) journals each completed cluster
-// under its global index. Because the journal identity binds to the full
-// reference set and frames carry global indices, a shard journal written
-// by one node can be resumed by another node holding the same spec — the
-// handoff mechanism the fleet coordinator uses when a worker dies
-// mid-shard on a shared data directory.
-func (s Simulator) SimulateRangeCheckpoint(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int, ckpt *Checkpoint) (*dataset.Dataset, error) {
-	return s.simulateWith(ctx, name, refs, seed, first, count, ckpt)
-}

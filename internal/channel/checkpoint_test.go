@@ -60,7 +60,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = sim.SimulateCheckpoint(ctx, "drill", refs, seed, ckpt)
+	_, err = sim.SimulateRange(ctx, "drill", refs, seed, 0, len(refs), ckpt)
 	var simErr *channel.SimulationError
 	if !errors.As(err, &simErr) || simErr.Canceled == nil {
 		t.Fatalf("interrupted run: err = %v, want canceled SimulationError", err)
@@ -85,7 +85,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if got := ckpt2.Completed(); got >= len(refs) {
 		t.Fatalf("torn checkpoint claims %d/%d clusters complete", got, len(refs))
 	}
-	resumed, err := sim.SimulateCheckpoint(context.Background(), "drill", refs, seed, ckpt2)
+	resumed, err := sim.SimulateRange(context.Background(), "drill", refs, seed, 0, len(refs), ckpt2)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestPipelineCheckpointResumeByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = sim.SimulateCheckpoint(ctx, "pipe-drill", refs, seed, ckpt)
+	_, err = sim.SimulateRange(ctx, "pipe-drill", refs, seed, 0, len(refs), ckpt)
 	var simErr *channel.SimulationError
 	if !errors.As(err, &simErr) || simErr.Canceled == nil {
 		t.Fatalf("interrupted run: err = %v, want canceled SimulationError", err)
@@ -146,7 +146,7 @@ func TestPipelineCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatalf("reopening torn checkpoint: %v", err)
 	}
 	defer ckpt2.Close()
-	resumed, err := sim.SimulateCheckpoint(context.Background(), "pipe-drill", refs, seed, ckpt2)
+	resumed, err := sim.SimulateRange(context.Background(), "pipe-drill", refs, seed, 0, len(refs), ckpt2)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

@@ -21,12 +21,23 @@ type CoverageModel interface {
 // RefAwareCoverage is an optional extension of CoverageModel for models
 // whose read count depends on the reference strand itself (PCR prefers
 // some sequences over others — Heckel et al.'s observation in §2.1).
-// Simulator detects it by type assertion; Pipeline.BindCoverage returns
-// one, so ref-aware pool stages (GCBias) see each cluster's reference.
+// Simulator and the coverage decorators detect it through SampleFor;
+// Pipeline.BindCoverage returns one, so ref-aware pool stages (GCBias) see
+// each cluster's reference.
 type RefAwareCoverage interface {
 	CoverageModel
 	// SampleRef returns the read count for the given reference strand.
 	SampleRef(ref dna.Strand, clusterIndex int, r *rng.RNG) int
+}
+
+// SampleFor draws cluster i's read count from cov, handing it ref when cov
+// is a RefAwareCoverage. Coverage decorators sample their base through it,
+// so a ref-aware model under a decorator still sees the reference.
+func SampleFor(cov CoverageModel, ref dna.Strand, i int, r *rng.RNG) int {
+	if ra, ok := cov.(RefAwareCoverage); ok {
+		return ra.SampleRef(ref, i, r)
+	}
+	return cov.Sample(i, r)
 }
 
 // FixedCoverage gives every cluster exactly N reads.
@@ -134,12 +145,18 @@ type ErasureCoverage struct {
 	P    float64
 }
 
-// Sample implements CoverageModel.
+// Sample implements CoverageModel: SampleRef without a reference.
 func (e ErasureCoverage) Sample(i int, r *rng.RNG) int {
+	return e.SampleRef("", i, r)
+}
+
+// SampleRef implements RefAwareCoverage: the dropout draw first, then the
+// base count for ref.
+func (e ErasureCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
 	if r.Bool(e.P) {
 		return 0
 	}
-	return e.Base.Sample(i, r)
+	return SampleFor(e.Base, ref, i, r)
 }
 
 // Name implements CoverageModel. The rendering is part of

@@ -48,12 +48,6 @@ func DefaultNanoporeDict() BaseErrorRates {
 	return BaseErrorRates{Sub: 0.022, Ins: 0.011, Del: 0.023, LongDel: 0.003}
 }
 
-// DefaultIlluminaDict returns the dictionary shape for (Twist Bioscience,
-// Illumina NextSeq): an order of magnitude cleaner, substitution-dominant.
-func DefaultIlluminaDict() BaseErrorRates {
-	return BaseErrorRates{Sub: 0.0032, Ins: 0.0006, Del: 0.0012, LongDel: 0.0001}
-}
-
 // Name implements Channel.
 func (s *DNASimulator) Name() string {
 	if s.Label != "" {

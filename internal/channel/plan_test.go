@@ -359,7 +359,7 @@ func TestCheckpointResumeSecondOrderByteIdentical(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := sim.SimulateCheckpoint(ctx, "ckpt", refs, seed, ckpt); err == nil {
+	if _, err := sim.SimulateRange(ctx, "ckpt", refs, seed, 0, len(refs), ckpt); err == nil {
 		t.Fatal("interrupted run returned nil error")
 	}
 	ckpt.Close()
@@ -370,7 +370,7 @@ func TestCheckpointResumeSecondOrderByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ckpt2.Close()
-	resumed, err := sim.SimulateCheckpoint(context.Background(), "ckpt", refs, seed, ckpt2)
+	resumed, err := sim.SimulateRange(context.Background(), "ckpt", refs, seed, 0, len(refs), ckpt2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func checkRangeConcat(t *testing.T, sim Simulator, refs []dna.Strand, seed uint6
 		if first+count > len(refs) {
 			count = len(refs) - first
 		}
-		shard, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, first, count)
+		shard, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, first, count, nil)
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", first, first+count, err)
 		}
@@ -99,7 +99,7 @@ func TestChimeraCheckpointResume(t *testing.T) {
 func checkRangeResume(t *testing.T, sim Simulator, refs []dna.Strand, seed uint64) {
 	t.Helper()
 	const first, count = 20, 30
-	want, err := sim.SimulateRangeCtx(context.Background(), "simulated", refs, seed, first, count)
+	want, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, first, count, nil)
 	if err != nil {
 		t.Fatalf("reference range run: %v", err)
 	}
@@ -118,7 +118,7 @@ func checkRangeResume(t *testing.T, sim Simulator, refs []dna.Strand, seed uint6
 			cancel()
 		}
 	}
-	_, err = sim.SimulateRangeCheckpoint(ctx, "simulated", refs, seed, first, count, ckpt)
+	_, err = sim.SimulateRange(ctx, "simulated", refs, seed, first, count, ckpt)
 	if err == nil {
 		t.Fatal("interrupted run unexpectedly completed clean")
 	}
@@ -139,7 +139,7 @@ func checkRangeResume(t *testing.T, sim Simulator, refs []dna.Strand, seed uint6
 	if ckpt2.Completed() < journaled {
 		t.Fatalf("resume lost progress: %d < %d committed clusters", ckpt2.Completed(), journaled)
 	}
-	got, err := sim.SimulateRangeCheckpoint(context.Background(), "simulated", refs, seed, first, count, ckpt2)
+	got, err := sim.SimulateRange(context.Background(), "simulated", refs, seed, first, count, ckpt2)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestSimulateRangeBounds(t *testing.T) {
 	refs := RandomReferences(10, 20, 1)
 	sim := Simulator{Channel: NewNaive("rangetest", Rates{Sub: 0.01}), Coverage: FixedCoverage(2)}
 	for _, tc := range [][2]int{{-1, 5}, {0, -1}, {5, 6}, {11, 0}} {
-		if _, err := sim.SimulateRangeCtx(context.Background(), "x", refs, 1, tc[0], tc[1]); err == nil {
+		if _, err := sim.SimulateRange(context.Background(), "x", refs, 1, tc[0], tc[1], nil); err == nil {
 			t.Errorf("range [%d,+%d): no error", tc[0], tc[1])
 		}
 	}

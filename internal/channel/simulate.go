@@ -53,7 +53,7 @@ type ProgressFunc func(completed, total int)
 type progressKey struct{}
 
 // WithProgress returns a context that makes every SimulateCtx,
-// SimulateCheckpoint or Pool sequencing run under it report per-cluster
+// SimulateRange or Pool sequencing run under it report per-cluster
 // progress to fn. The hook rides the context rather than the Simulator so
 // that callers several layers up (an HTTP job server timing out stalled
 // work) can observe progress without threading a parameter through every
@@ -139,26 +139,27 @@ func (s Simulator) Simulate(name string, refs []dna.Strand, seed uint64) *datase
 // Output is byte-identical to Simulate for a run that completes without
 // faults: the same per-cluster RNG split scheme applies.
 func (s Simulator) SimulateCtx(ctx context.Context, name string, refs []dna.Strand, seed uint64) (*dataset.Dataset, error) {
-	return s.simulateWith(ctx, name, refs, seed, 0, len(refs), nil)
+	return s.SimulateRange(ctx, name, refs, seed, 0, len(refs), nil)
 }
 
-// SimulateRangeCtx simulates only the cluster range [first, first+count)
-// of refs, returning a dataset with exactly count clusters in range order.
-// Every cluster's RNG still derives from its global index, so the
-// concatenation of range datasets covering [0, len(refs)) is byte-identical
-// to one SimulateCtx run over the whole reference set — the property that
-// makes cluster-range sharding across a fleet of nodes merge-safe.
-func (s Simulator) SimulateRangeCtx(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int) (*dataset.Dataset, error) {
-	return s.simulateWith(ctx, name, refs, seed, first, count, nil)
-}
-
-// simulateWith is the shared engine behind SimulateCtx and
-// SimulateCheckpoint (and their Range variants): it simulates the cluster
-// range [first, first+count) of refs. Checkpointed clusters are restored
-// without re-simulation; newly completed ones are committed before they
-// count. Checkpoint frames carry global cluster indices, so a shard's
-// journal can be resumed by any node holding the same spec.
-func (s Simulator) simulateWith(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int, ckpt *Checkpoint) (*dataset.Dataset, error) {
+// SimulateRange simulates the cluster range [first, first+count) of refs,
+// returning a dataset with exactly count clusters in range order. Every
+// cluster's RNG derives from its global index, so the concatenation of
+// range datasets covering [0, len(refs)) is byte-identical to one
+// SimulateCtx run over the whole reference set — the property that makes
+// cluster-range sharding across a fleet of nodes merge-safe.
+//
+// A non-nil ckpt adds durable progress: clusters already in it are
+// restored without re-simulation, and each newly completed cluster is
+// committed to the journal before it counts as done; a failed Commit
+// surfaces as that cluster's ClusterError. Output is byte-identical to an
+// uninterrupted run with the same arguments. Because the journal identity
+// binds to the full reference set and frames carry global indices, a
+// shard journal written by one node can be resumed by another node holding
+// the same spec — the handoff mechanism the fleet coordinator uses when a
+// worker dies mid-shard on a shared data directory. A nil ckpt journals
+// nothing.
+func (s Simulator) SimulateRange(ctx context.Context, name string, refs []dna.Strand, seed uint64, first, count int, ckpt *Checkpoint) (*dataset.Dataset, error) {
 	if s.Channel == nil {
 		return nil, fmt.Errorf("channel: Simulator without a Channel")
 	}
@@ -289,12 +290,7 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 	// independent of worker scheduling — and of which range shard (if any)
 	// the cluster was simulated in.
 	r := rng.New(seed ^ (0x9e3779b97f4a7c15 * uint64(gi+1)))
-	var n int
-	if ra, ok := s.Coverage.(RefAwareCoverage); ok {
-		n = ra.SampleRef(refs[gi], gi, r)
-	} else {
-		n = s.Coverage.Sample(gi, r)
-	}
+	n := SampleFor(s.Coverage, refs[gi], gi, r)
 	var reads []dna.Strand
 	if at != nil {
 		// Fast path: decode the reference once, generate every read into

@@ -33,7 +33,6 @@ func TestChaosDrillConservation(t *testing.T) {
 	srv := server.New(server.Config{
 		QueueCapacity: 256,
 		Workers:       4,
-		Logf:          func(string, ...any) {},
 	})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()

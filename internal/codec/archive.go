@@ -14,16 +14,14 @@ import (
 //
 //	[ index | payload chunk | RS strand parity ]
 //
-// encoded with a SequenceCodec. Logical redundancy operates at two levels,
-// mirroring deployed systems:
+// encoded with the Trivial2Bit mapping. Logical redundancy operates at two
+// levels, mirroring deployed systems:
 //
 //   - per-strand Reed–Solomon parity detects and corrects residual
 //     substitutions that survive trace reconstruction (corruption);
 //   - cross-strand Reed–Solomon groups reconstruct strands lost entirely
 //     (erasures) or too corrupted to decode, as in Grass et al. [12].
 type Archive struct {
-	// Codec is the byte↔DNA mapping (default Trivial2Bit).
-	Codec SequenceCodec
 	// PayloadBytes is the data bytes carried per strand (default 20).
 	PayloadBytes int
 	// StrandParity is the per-strand RS parity byte count (default 4).
@@ -42,13 +40,6 @@ const indexBytes = 4
 // Every strand carries the pool layout so decoding never has to infer it
 // from the (possibly erased) highest-indexed strand.
 const totalBytes = 4
-
-func (a Archive) codec() SequenceCodec {
-	if a.Codec == nil {
-		return Trivial2Bit{}
-	}
-	return a.Codec
-}
 
 func (a Archive) payloadBytes() int {
 	if a.PayloadBytes <= 0 {
@@ -152,7 +143,7 @@ func (a Archive) Encode(data []byte) ([]dna.Strand, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = a.codec().Encode(cw)
+		out[i] = Trivial2Bit{}.Encode(cw)
 	}
 	return out, nil
 }
@@ -217,7 +208,7 @@ func (a Archive) DecodeReport(strands []dna.Strand) ([]byte, *DecodeReport, erro
 	maxPlausible := 2*len(strands) + 64
 	totalVotes := map[int]int{}
 	for _, s := range strands {
-		cw, err := a.codec().Decode(s)
+		cw, err := Trivial2Bit{}.Decode(s)
 		if err != nil || len(cw) != recLen {
 			report.Undecodable++
 			continue // undecodable strand: treat as erased
@@ -383,17 +374,10 @@ func dataChunkCount(total, gd, gp int) int {
 	return -1
 }
 
-// StrandLength returns the designed strand length (bases) for this layout,
-// assuming a fixed-rate codec.
+// StrandLength returns the designed strand length (bases) for this layout:
+// four bases per record byte.
 func (a Archive) StrandLength() int {
-	recLen := indexBytes + totalBytes + a.payloadBytes() + a.strandParity()
-	return a.codec().Encode(make([]byte, recLen)).Len()
-}
-
-// SortStrands orders strands deterministically (for stable on-disk
-// output); strand content order has no semantic meaning after Encode.
-func SortStrands(strands []dna.Strand) {
-	sort.Slice(strands, func(i, j int) bool { return strands[i] < strands[j] })
+	return 4 * (indexBytes + totalBytes + a.payloadBytes() + a.strandParity())
 }
 
 // whiten XORs a chunk with a SplitMix64 keystream keyed by the strand

@@ -9,30 +9,24 @@ import (
 	"dnastore/internal/rng"
 )
 
-func codecs() []SequenceCodec {
-	return []SequenceCodec{Trivial2Bit{}, Rotation{}, GCBalanced{}, GCBalanced{BlockBytes: 3}}
-}
-
 func TestSequenceCodecRoundTripQuick(t *testing.T) {
-	for _, c := range codecs() {
-		c := c
-		f := func(data []byte) bool {
-			s := c.Encode(data)
-			if s.Validate() != nil {
-				return false
-			}
-			got, err := c.Decode(s)
-			if err != nil {
-				return false
-			}
-			if len(data) == 0 {
-				return len(got) == 0
-			}
-			return bytes.Equal(got, data)
+	var c Trivial2Bit
+	f := func(data []byte) bool {
+		s := c.Encode(data)
+		if s.Validate() != nil {
+			return false
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Errorf("%s: %v", c.Name(), err)
+		got, err := c.Decode(s)
+		if err != nil {
+			return false
 		}
+		if len(data) == 0 {
+			return len(got) == 0
+		}
+		return bytes.Equal(got, data)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -46,72 +40,6 @@ func TestTrivial2BitKnownValues(t *testing.T) {
 	}
 	if _, err := (Trivial2Bit{}).Decode("ACGN"); err == nil {
 		t.Error("invalid base accepted")
-	}
-}
-
-func TestRotationNoHomopolymers(t *testing.T) {
-	r := rng.New(1)
-	for trial := 0; trial < 100; trial++ {
-		data := make([]byte, 1+r.Intn(60))
-		for i := range data {
-			data[i] = byte(r.Intn(256))
-		}
-		s := Rotation{}.Encode(data)
-		if s.MaxHomopolymerLen() > 1 {
-			t.Fatalf("rotation produced homopolymer: %q", s)
-		}
-	}
-}
-
-func TestRotationRejectsHomopolymer(t *testing.T) {
-	if _, err := (Rotation{}).Decode("CCGTAC"); err == nil {
-		t.Error("homopolymer input accepted")
-	}
-	if _, err := (Rotation{}).Decode("CGTAC"); err == nil {
-		t.Error("bad length accepted")
-	}
-}
-
-func TestRotationDensity(t *testing.T) {
-	if (Rotation{}).BitsPerBase() >= (Trivial2Bit{}).BitsPerBase() {
-		t.Error("rotation should be less dense than 2-bit")
-	}
-}
-
-func TestGCBalancedRatio(t *testing.T) {
-	r := rng.New(2)
-	for trial := 0; trial < 50; trial++ {
-		data := make([]byte, 64)
-		for i := range data {
-			// Adversarial: heavy GC content under the trivial mapping.
-			data[i] = 0b01100101 // C G C C
-		}
-		_ = trial
-		s := GCBalanced{}.Encode(data)
-		gc := s.GCRatio()
-		if gc < 0.40 || gc > 0.60 {
-			t.Fatalf("GC ratio %v out of [0.40, 0.60]", gc)
-		}
-		got, err := GCBalanced{}.Decode(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("round trip failed")
-		}
-		data[0] = byte(r.Intn(256))
-	}
-}
-
-func TestGCBalancedRejectsBadFlag(t *testing.T) {
-	g := GCBalanced{BlockBytes: 1}
-	s := g.Encode([]byte{0x42})
-	bad := "C" + string(s[1:])
-	if _, err := g.Decode(dna.Strand(bad)); err == nil {
-		t.Error("invalid flag accepted")
-	}
-	if _, err := g.Decode("A"); err == nil {
-		t.Error("dangling flag accepted")
 	}
 }
 
@@ -133,24 +61,6 @@ func TestArchiveRoundTripClean(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestArchiveRoundTripCodecs(t *testing.T) {
-	for _, c := range codecs() {
-		a := Archive{Codec: c}
-		data := bytes.Repeat([]byte("payload!"), 20)
-		strands, err := a.Encode(data)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		got, err := a.Decode(strands)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: mismatch", c.Name())
-		}
 	}
 }
 
@@ -322,51 +232,6 @@ func TestDataChunkCount(t *testing.T) {
 		if dataChunkCount(3, 16, 4) != -1 {
 			t.Error("impossible total accepted")
 		}
-	}
-}
-
-func TestXORRoundTrip(t *testing.T) {
-	chunks := [][]byte{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}}
-	enc, err := XOREncode(chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != 5+3 {
-		t.Fatalf("encoded %d chunks", len(enc))
-	}
-	// Lose one chunk per pair.
-	enc[0] = nil // member of pair 0
-	enc[3] = nil // member of pair 1
-	enc[7] = nil // parity of pair 2 (lone member 4)
-	if err := XORRecover(enc, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc[0], []byte{1, 2}) || !bytes.Equal(enc[3], []byte{7, 8}) {
-		t.Error("XOR recovery wrong")
-	}
-}
-
-func TestXORRecoverFailsTwoLosses(t *testing.T) {
-	chunks := [][]byte{{1}, {2}}
-	enc, _ := XOREncode(chunks)
-	enc[0], enc[1] = nil, nil
-	if err := XORRecover(enc, 2); err == nil {
-		t.Error("two losses in one pair recovered")
-	}
-}
-
-func TestXORErrors(t *testing.T) {
-	if _, err := XOREncode(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := XOREncode([][]byte{{1}, {2, 3}}); err == nil {
-		t.Error("ragged chunks accepted")
-	}
-	if err := XORRecover([][]byte{{1}}, 0); err == nil {
-		t.Error("bad nData accepted")
-	}
-	if err := XORRecover([][]byte{{1}, {2}}, 2); err == nil {
-		t.Error("bad layout accepted")
 	}
 }
 

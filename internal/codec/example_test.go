@@ -20,14 +20,6 @@ func Example() {
 	// Output: true true
 }
 
-// ExampleRotation shows the homopolymer-free property of the Goldman-style
-// rotation code.
-func ExampleRotation() {
-	s := codec.Rotation{}.Encode([]byte{0x00, 0x00, 0x00})
-	fmt.Println(s.MaxHomopolymerLen())
-	// Output: 1
-}
-
 // ExampleRS corrects unknown errors up to half the parity budget.
 func ExampleRS() {
 	rs := codec.MustRS(8)

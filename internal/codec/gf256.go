@@ -1,10 +1,9 @@
 // Package codec implements the encode/decode ends of the DNA storage
-// pipeline (§1.1 steps 2 and 6): binary↔DNA sequence codecs (trivial
-// 2-bit, Goldman-style homopolymer-free rotation, GC-balanced), logical
-// redundancy (XOR parity strands and a full Reed–Solomon code over GF(2⁸)
-// correcting both errors and erasures, as in Grass et al. [12]), strand
-// indexing for file layout, and primer design for PCR random access
-// (Yazdi/Bornholt, §1.1.1).
+// pipeline (§1.1 steps 2 and 6): the trivial 2-bit binary↔DNA mapping,
+// logical redundancy (a full Reed–Solomon code over GF(2⁸) correcting both
+// errors and erasures, as in Grass et al. [12]), strand indexing for file
+// layout, and primer design for PCR random access (Yazdi/Bornholt,
+// §1.1.1).
 package codec
 
 // GF(2⁸) arithmetic with the primitive polynomial x⁸+x⁴+x³+x²+1 (0x11d),

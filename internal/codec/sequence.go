@@ -6,34 +6,13 @@ import (
 	"dnastore/internal/dna"
 )
 
-// SequenceCodec maps raw bytes to a DNA sequence and back. Implementations
-// differ in logical density (bits per base) and in the sequence constraints
-// they guarantee (homopolymer limits, GC balance) — the trade-off space
-// §1.1 describes.
-type SequenceCodec interface {
-	// Encode maps data to a strand.
-	Encode(data []byte) dna.Strand
-	// Decode inverts Encode; it fails on malformed input.
-	Decode(s dna.Strand) ([]byte, error)
-	// Name identifies the codec.
-	Name() string
-	// BitsPerBase is the logical density of the codec.
-	BitsPerBase() float64
-}
-
 // Trivial2Bit is the textbook maximal-density mapping A=00, C=01, G=10,
 // T=11 (2 bits per base, the Shannon maximum for four symbols). It makes
 // no constraint guarantees: long homopolymers and GC drift pass through,
 // which is exactly why real systems layer constrained codecs on top.
 type Trivial2Bit struct{}
 
-// Name implements SequenceCodec.
-func (Trivial2Bit) Name() string { return "trivial-2bit" }
-
-// BitsPerBase implements SequenceCodec.
-func (Trivial2Bit) BitsPerBase() float64 { return 2 }
-
-// Encode implements SequenceCodec.
+// Encode maps data to a strand, four bases per byte.
 func (Trivial2Bit) Encode(data []byte) dna.Strand {
 	out := make([]byte, 0, len(data)*4)
 	for _, b := range data {
@@ -44,7 +23,8 @@ func (Trivial2Bit) Encode(data []byte) dna.Strand {
 	return dna.Strand(out)
 }
 
-// Decode implements SequenceCodec.
+// Decode inverts Encode; it fails on a strand that is not whole bytes of
+// valid bases.
 func (Trivial2Bit) Decode(s dna.Strand) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -59,229 +39,6 @@ func (Trivial2Bit) Decode(s dna.Strand) ([]byte, error) {
 			b = b<<2 | byte(s.At(i+j))
 		}
 		out = append(out, b)
-	}
-	return out, nil
-}
-
-// Rotation is the Goldman-style rotation code [11]: each byte becomes six
-// base-3 digits (3⁶ = 729 ≥ 256) and each digit selects one of the three
-// bases *different from the previous base*, so the output contains no
-// homopolymer of length 2 or more by construction. Density is 1.33 bits
-// per base — the price of the homopolymer guarantee.
-type Rotation struct{}
-
-// Name implements SequenceCodec.
-func (Rotation) Name() string { return "rotation" }
-
-// BitsPerBase implements SequenceCodec.
-func (Rotation) BitsPerBase() float64 { return 8.0 / 6.0 }
-
-// tritsPerByte is the number of base-3 digits encoding one byte.
-const tritsPerByte = 6
-
-// rotationNext[prev][trit] is the base emitted for the given trit after
-// prev; it is always != prev. The initial "previous base" is A (the
-// encoder's virtual predecessor).
-var rotationNext = [dna.NumBases][3]dna.Base{
-	dna.A: {dna.C, dna.G, dna.T},
-	dna.C: {dna.G, dna.T, dna.A},
-	dna.G: {dna.T, dna.A, dna.C},
-	dna.T: {dna.A, dna.C, dna.G},
-}
-
-// Encode implements SequenceCodec.
-func (Rotation) Encode(data []byte) dna.Strand {
-	out := make([]byte, 0, len(data)*tritsPerByte)
-	prev := dna.A
-	for _, b := range data {
-		v := int(b)
-		// Big-endian trits.
-		for shift := tritsPerByte - 1; shift >= 0; shift-- {
-			div := 1
-			for k := 0; k < shift; k++ {
-				div *= 3
-			}
-			trit := (v / div) % 3
-			next := rotationNext[prev][trit]
-			out = append(out, next.Byte())
-			prev = next
-		}
-	}
-	return dna.Strand(out)
-}
-
-// Decode implements SequenceCodec.
-func (Rotation) Decode(s dna.Strand) ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Len()%tritsPerByte != 0 {
-		return nil, fmt.Errorf("codec: rotation strand length %d not a multiple of %d", s.Len(), tritsPerByte)
-	}
-	out := make([]byte, 0, s.Len()/tritsPerByte)
-	prev := dna.A
-	for i := 0; i < s.Len(); i += tritsPerByte {
-		v := 0
-		for j := 0; j < tritsPerByte; j++ {
-			cur := s.At(i + j)
-			trit := -1
-			for t, b := range rotationNext[prev] {
-				if b == cur {
-					trit = t
-					break
-				}
-			}
-			if trit < 0 {
-				return nil, fmt.Errorf("codec: homopolymer at position %d breaks rotation coding", i+j)
-			}
-			v = v*3 + trit
-			prev = cur
-		}
-		if v > 255 {
-			return nil, fmt.Errorf("codec: rotation group at %d decodes to %d > 255", i, v)
-		}
-		out = append(out, byte(v))
-	}
-	return out, nil
-}
-
-// GCBalanced wraps the 2-bit mapping in blocks guarded by a flag base:
-// each block of BlockBytes data bytes is emitted either directly or with
-// every base swapped A↔G, C↔T (which flips each position's GC
-// contribution), whichever keeps the running GC-ratio closest to 50% —
-// the stability constraint §1.2 describes. Density approaches 2 bits per
-// base for large blocks.
-type GCBalanced struct {
-	// BlockBytes is the data bytes per balanced block (default 8).
-	BlockBytes int
-}
-
-// Name implements SequenceCodec.
-func (g GCBalanced) Name() string { return "gc-balanced" }
-
-// BitsPerBase implements SequenceCodec.
-func (g GCBalanced) BitsPerBase() float64 {
-	bb := g.blockBytes()
-	return float64(8*bb) / float64(4*bb+1)
-}
-
-func (g GCBalanced) blockBytes() int {
-	if g.BlockBytes <= 0 {
-		return 8
-	}
-	return g.BlockBytes
-}
-
-// flagDirect and flagSwapped mark whether a block is stored as-is; both
-// flags are chosen GC-neutral in expectation (A is AT-class, G is
-// GC-class, so the flag itself partially counterbalances the block).
-const (
-	flagDirect  = dna.A
-	flagSwapped = dna.G
-)
-
-// gcSwap maps each base to its GC-flipping partner: A↔G, C↔T.
-func gcSwap(b dna.Base) dna.Base {
-	switch b {
-	case dna.A:
-		return dna.G
-	case dna.G:
-		return dna.A
-	case dna.C:
-		return dna.T
-	default:
-		return dna.C
-	}
-}
-
-// Encode implements SequenceCodec.
-func (g GCBalanced) Encode(data []byte) dna.Strand {
-	bb := g.blockBytes()
-	var t2 Trivial2Bit
-	out := make([]byte, 0, len(data)*4+len(data)/bb+1)
-	gc, total := 0, 0
-	for start := 0; start < len(data); start += bb {
-		end := start + bb
-		if end > len(data) {
-			end = len(data)
-		}
-		block := string(t2.Encode(data[start:end]))
-		gcBlock := 0
-		for i := 0; i < len(block); i++ {
-			if block[i] == 'G' || block[i] == 'C' {
-				gcBlock++
-			}
-		}
-		// Choose the variant keeping the cumulative GC count closest to
-		// half the cumulative length.
-		directGC := gc + gcBlock
-		swappedGC := gc + (len(block) - gcBlock)
-		newTotal := total + len(block) + 1
-		direct := absDiff(2*(directGC), newTotal) <= absDiff(2*(swappedGC+1), newTotal)
-		if direct {
-			out = append(out, flagDirect.Byte())
-			out = append(out, block...)
-			gc = directGC
-		} else {
-			out = append(out, flagSwapped.Byte())
-			gc = swappedGC + 1 // the G flag counts toward GC
-			for i := 0; i < len(block); i++ {
-				b, _ := dna.BaseFromByte(block[i])
-				out = append(out, gcSwap(b).Byte())
-			}
-		}
-		total = newTotal
-	}
-	return dna.Strand(out)
-}
-
-func absDiff(a, b int) int {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// Decode implements SequenceCodec.
-func (g GCBalanced) Decode(s dna.Strand) ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	bb := g.blockBytes()
-	blockBases := 4 * bb
-	var t2 Trivial2Bit
-	var out []byte
-	for i := 0; i < s.Len(); {
-		flag := s.At(i)
-		i++
-		end := i + blockBases
-		if end > s.Len() {
-			end = s.Len()
-		}
-		if end == i {
-			return nil, fmt.Errorf("codec: dangling flag base at %d", i-1)
-		}
-		block := []byte(s[i:end])
-		switch flag {
-		case flagSwapped:
-			for j := range block {
-				b, err := dna.BaseFromByte(block[j])
-				if err != nil {
-					return nil, err
-				}
-				block[j] = gcSwap(b).Byte()
-			}
-		case flagDirect:
-			// as-is
-		default:
-			return nil, fmt.Errorf("codec: invalid block flag %q at %d", flag, i-1)
-		}
-		data, err := t2.Decode(dna.Strand(block))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
-		i = end
 	}
 	return out, nil
 }

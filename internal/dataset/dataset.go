@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"dnastore/internal/dna"
@@ -67,15 +66,6 @@ func (d *Dataset) Erasures() int {
 		}
 	}
 	return n
-}
-
-// CoverageHistogram returns a map from coverage value to cluster count.
-func (d *Dataset) CoverageHistogram() map[int]int {
-	h := make(map[int]int)
-	for _, c := range d.Clusters {
-		h[c.Coverage()]++
-	}
-	return h
 }
 
 // Coverages returns the per-cluster coverage vector, in cluster order. This
@@ -160,18 +150,6 @@ func (d *Dataset) SubsampleFixed(n, minCoverage int) (*Dataset, error) {
 		out.Clusters = append(out.Clusters, Cluster{Ref: c.Ref, Reads: reads})
 	}
 	return out, nil
-}
-
-// FilterMinCoverage returns a dataset containing only clusters with at
-// least n reads.
-func (d *Dataset) FilterMinCoverage(n int) *Dataset {
-	out := &Dataset{Name: d.Name}
-	for _, c := range d.Clusters {
-		if c.Coverage() >= n {
-			out.Clusters = append(out.Clusters, c)
-		}
-	}
-	return out
 }
 
 // AllReads returns every read in the dataset as a flat shuffled pool, the
@@ -338,15 +316,4 @@ func ReadRefs(rd io.Reader) ([]dna.Strand, error) {
 		return nil, err
 	}
 	return refs, nil
-}
-
-// SortedCoverages returns the distinct coverage values present, ascending.
-func (d *Dataset) SortedCoverages() []int {
-	h := d.CoverageHistogram()
-	out := make([]int, 0, len(h))
-	for k := range h {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

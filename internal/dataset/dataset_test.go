@@ -54,18 +54,6 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
-func TestCoverageHistogram(t *testing.T) {
-	d := sample()
-	h := d.CoverageHistogram()
-	if h[3] != 1 || h[1] != 1 || h[0] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-	cov := d.SortedCoverages()
-	if len(cov) != 3 || cov[0] != 0 || cov[2] != 3 {
-		t.Errorf("sorted coverages = %v", cov)
-	}
-}
-
 func TestCoveragesAndReferences(t *testing.T) {
 	d := sample()
 	if got := d.Coverages(); got[0] != 3 || got[1] != 1 || got[2] != 0 {
@@ -166,14 +154,6 @@ func TestSubsamplePrefixConsistency(t *testing.T) {
 				t.Fatal("prefix reads differ between coverages")
 			}
 		}
-	}
-}
-
-func TestFilterMinCoverage(t *testing.T) {
-	d := sample()
-	out := d.FilterMinCoverage(1)
-	if out.NumClusters() != 2 {
-		t.Errorf("FilterMinCoverage(1) kept %d", out.NumClusters())
 	}
 }
 

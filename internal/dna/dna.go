@@ -129,6 +129,21 @@ func (s Strand) AppendBases(dst []Base) []Base {
 	return dst
 }
 
+// AppendLetters appends the ASCII letters of the given base codes to dst —
+// the code-to-Strand kernel used to materialise transmit output once per
+// read.
+func AppendLetters(dst []byte, codes []Base) []byte {
+	if n := len(dst) + len(codes); cap(dst) < n {
+		grown := make([]byte, len(dst), n)
+		copy(grown, dst)
+		dst = grown
+	}
+	for _, c := range codes {
+		dst = append(dst, baseLetters[c&3])
+	}
+	return dst
+}
+
 // FromBases builds a Strand from a slice of bases.
 func FromBases(bs []Base) Strand {
 	var sb strings.Builder

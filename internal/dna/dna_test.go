@@ -293,3 +293,47 @@ func TestStrandStringsAreComparable(t *testing.T) {
 		t.Error("strand map lookup failed")
 	}
 }
+
+// TestAppendBasesKernels: the bulk kernels must agree with the per-base
+// accessors for every length and honour append-to-existing semantics.
+func TestAppendBasesKernels(t *testing.T) {
+	f := func(raw []uint8, prefix uint8) bool {
+		bs := make([]Base, len(raw))
+		for i, r := range raw {
+			bs[i] = Base(r % NumBases)
+		}
+		s := FromBases(bs)
+
+		// Strand.AppendBases onto a non-empty prefix.
+		pre := make([]Base, int(prefix%5))
+		got := s.AppendBases(pre)
+		if len(got) != len(pre)+len(bs) {
+			return false
+		}
+		for i, b := range bs {
+			if got[len(pre)+i] != b {
+				return false
+			}
+		}
+
+		// AppendLetters reproduces the strand.
+		return Strand(AppendLetters(nil, got[len(pre):])) == s
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendBasesReuseNoAlloc: with sufficient capacity the kernels must
+// not allocate — the contract the per-worker transmit arenas rely on.
+func TestAppendBasesReuseNoAlloc(t *testing.T) {
+	s := Strand("ACGTACGTACGTACGTACGTACG")
+	codes := make([]Base, 0, s.Len())
+	letters := make([]byte, 0, s.Len())
+	if n := testing.AllocsPerRun(100, func() {
+		codes = s.AppendBases(codes[:0])
+		letters = AppendLetters(letters[:0], codes)
+	}); n != 0 {
+		t.Errorf("kernels allocated %.1f times per run with pre-sized buffers", n)
+	}
+}

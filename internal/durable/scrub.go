@@ -62,8 +62,9 @@ type Report struct {
 	// Legacy marks a file without the container magic — a pre-container
 	// artifact with no checksums to verify.
 	Legacy bool
-	// Truncated marks a stream that ended before a valid footer (torn
-	// write); every section listed was recovered intact before the tear.
+	// Truncated marks a torn write: a container stream that ended before
+	// a valid footer, or a journal that ends inside a frame. Every section
+	// listed was recovered intact before the tear.
 	Truncated bool
 	// ScanErr records structural damage that stopped the scan (corrupt
 	// container or frame header, bad marker, bad footer).
@@ -72,8 +73,9 @@ type Report struct {
 	Sections []Section
 }
 
-// Intact reports a fully healthy container: complete, footer verified,
-// every section clean with no corrections needed.
+// Intact reports a fully healthy stream: not truncated, no structural
+// damage, every section clean with no corrections needed. It applies to
+// Scrub and ScrubJournal reports alike.
 func (r *Report) Intact() bool {
 	return !r.Legacy && !r.Truncated && r.ScanErr == nil && !r.Damaged()
 }

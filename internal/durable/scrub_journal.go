@@ -27,6 +27,9 @@ import (
 //   - a corrupt frame body (checksum failure beyond parity) is reported
 //     as a corrupt section; everything after it is unreachable because a
 //     journal has no footer to resynchronise against, so the scan stops.
+//
+// Report.Intact is the verdict for a journal too: it checks no footer,
+// only that nothing was truncated, damaged or unreadable.
 func ScrubJournal(r io.Reader) *Report {
 	rep := &Report{}
 	cr := &countingReader{r: r}
@@ -102,11 +105,4 @@ func ScrubJournalFile(path string) (*Report, error) {
 		return nil, err
 	}
 	return ScrubJournal(bytes.NewReader(data)), nil
-}
-
-// JournalIntact reports a fully healthy journal: header valid, every frame
-// clean, stream ending on a frame boundary. This is the journal analogue
-// of Report.Intact, which demands the footer journals never have.
-func JournalIntact(r *Report) bool {
-	return !r.Legacy && !r.Truncated && r.ScanErr == nil && !r.Damaged()
 }

@@ -30,7 +30,7 @@ func TestScrubJournalHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !JournalIntact(rep) {
+	if !rep.Intact() {
 		t.Fatalf("healthy journal not intact: %s", rep.Summary())
 	}
 	if len(rep.Sections) != 3 || rep.Kind != KindLedger || rep.Parity != 8 {
@@ -59,7 +59,7 @@ func TestScrubJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if JournalIntact(rep) || !rep.Truncated {
+	if rep.Intact() || !rep.Truncated {
 		t.Fatalf("torn tail not reported: %s", rep.Summary())
 	}
 	if len(rep.Sections) != 1 || rep.Sections[0].Status != SectionOK {
@@ -79,7 +79,7 @@ func TestScrubJournalTornTail(t *testing.T) {
 	}
 	j.Close()
 	rep, err = ScrubJournalFile(path)
-	if err != nil || !JournalIntact(rep) {
+	if err != nil || !rep.Intact() {
 		t.Fatalf("journal not clean after truncate+append: %s err=%v", rep.Summary(), err)
 	}
 }
@@ -104,7 +104,7 @@ func TestScrubJournalCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if JournalIntact(rep) {
+	if rep.Intact() {
 		t.Fatalf("corrupt journal reported intact: %s", rep.Summary())
 	}
 	corrupt := 0

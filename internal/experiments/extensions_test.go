@@ -110,7 +110,10 @@ func TestExtWeightedIterative(t *testing.T) {
 }
 
 func TestExtChimera(t *testing.T) {
-	tab := ExtChimera(Scale{Clusters: 250, Seed: 17})
+	tab, err := ExtChimera(Scale{Clusters: 250, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 4 {
 		t.Fatalf("got %d rows", len(tab.Rows))
 	}

@@ -197,7 +197,8 @@ func Registry() []Entry {
 		{
 			ID: "ext.chimera", Description: "Chimeric reads (strand-strand interactions)",
 			Run: func(_ *Workbench, scale Scale) ([]Result, error) {
-				return []Result{ExtChimera(scale)}, nil
+				t, err := ExtChimera(scale)
+				return []Result{t}, err
 			},
 		},
 		{

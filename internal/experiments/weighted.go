@@ -47,7 +47,7 @@ func ExtWeightedIterative(scale Scale) Table {
 // express — on reconstruction, and whether copy weighting recovers some of
 // the loss (a chimera tracks the consensus until its splice point, then
 // diverges, which is exactly the drift the weighting penalises).
-func ExtChimera(scale Scale) Table {
+func ExtChimera(scale Scale) (Table, error) {
 	t := Table{
 		ID:      "ext.chimera",
 		Title:   "Chimeric reads (strand-strand interactions) and reconstruction",
@@ -56,10 +56,11 @@ func ExtChimera(scale Scale) Table {
 	refs := channel.RandomReferences(scale.Clusters, 110, scale.Seed+1800)
 	base := channel.NewNaive("n", channel.NanoporeMix(0.059))
 	for i, p := range []float64{0, 0.05, 0.10, 0.20} {
-		sim := channel.Simulator{
-			Channel:  &channel.Chimera{Base: base, Refs: refs, P: p},
-			Coverage: channel.FixedCoverage(6),
+		ch, err := channel.NewChimera(base, refs, p)
+		if err != nil {
+			return Table{}, err
 		}
+		sim := channel.Simulator{Channel: ch, Coverage: channel.FixedCoverage(6)}
 		ds := sim.Simulate("chimera", refs, scale.Seed+1801+uint64(i))
 		row := []string{strconv.FormatFloat(p, 'g', -1, 64)}
 		for _, alg := range []recon.Reconstructor{recon.NewIterative(), recon.NewWeightedIterative()} {
@@ -68,5 +69,5 @@ func ExtChimera(scale Scale) Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return t, nil
 }

@@ -34,12 +34,18 @@ type ZeroCoverageRegion struct {
 	Start, Len int
 }
 
-// Sample implements channel.CoverageModel.
+// Sample implements channel.CoverageModel: SampleRef without a reference.
 func (z ZeroCoverageRegion) Sample(i int, r *rng.RNG) int {
+	return z.SampleRef("", i, r)
+}
+
+// SampleRef implements channel.RefAwareCoverage: outside the dead region
+// the base count for ref.
+func (z ZeroCoverageRegion) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
 	if i >= z.Start && i < z.Start+z.Len {
 		return 0
 	}
-	return z.Base.Sample(i, r)
+	return channel.SampleFor(z.Base, ref, i, r)
 }
 
 // Name implements channel.CoverageModel.

@@ -8,6 +8,7 @@ import (
 
 	"dnastore/internal/channel"
 	"dnastore/internal/dataset"
+	"dnastore/internal/dna"
 	"dnastore/internal/rng"
 )
 
@@ -99,6 +100,42 @@ func TestZeroCoverageRegionExact(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("cluster %d coverage = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestCoverageWrappersForwardRef: a fault wrapper that leaves a cluster's
+// count alone must also leave a ref-aware base model alone. A GC-bias
+// binding that erases an all-GC reference gives the same dataset bare,
+// under a zero-coverage region that misses every cluster, and under a
+// zero-probability dropout.
+func TestCoverageWrappersForwardRef(t *testing.T) {
+	refs := channel.RandomReferences(8, 60, 21)
+	refs[3] = dna.Strand(strings.Repeat("GC", 30))
+	base := channel.Pipeline{Stages: []channel.Stage{channel.GCBias{Strength: 50}}}.
+		BindCoverage(channel.FixedCoverage(20))
+	run := func(cov channel.CoverageModel) []byte {
+		sim := channel.Simulator{Channel: channel.NewNaive("n", channel.EqualMix(0.03)), Coverage: cov}
+		ds, err := sim.SimulateCtx(context.Background(), "gc", refs, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ds.Clusters[3].Coverage(); n != 0 {
+			t.Errorf("%s: all-GC reference kept %d reads", cov.Name(), n)
+		}
+		var buf bytes.Buffer
+		if err := ds.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := run(base)
+	for _, cov := range []channel.CoverageModel{
+		ZeroCoverageRegion{Base: base, Start: len(refs), Len: 4},
+		channel.ErasureCoverage{Base: base, P: 0},
+	} {
+		if got := run(cov); !bytes.Equal(got, want) {
+			t.Errorf("%s: dataset differs from the unwrapped run", cov.Name())
 		}
 	}
 }

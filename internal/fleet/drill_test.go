@@ -510,7 +510,7 @@ func TestFleetShardHandoffResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open checkpoint: %v", err)
 	}
-	if _, err := sim.SimulateRangeCheckpoint(context.Background(), "simulated", vspec.References(), vspec.Seed, 0, committed, ckpt); err != nil {
+	if _, err := sim.SimulateRange(context.Background(), "simulated", vspec.References(), vspec.Seed, 0, committed, ckpt); err != nil {
 		t.Fatalf("pre-journal: %v", err)
 	}
 	if err := ckpt.Close(); err != nil {

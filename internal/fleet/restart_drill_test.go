@@ -262,7 +262,7 @@ func TestFleetDrillKillRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scrub %s: %v", p, err)
 		}
-		if !durable.JournalIntact(rep) {
+		if !rep.Intact() {
 			t.Errorf("ledger %s not intact after the drill: %s", filepath.Base(p), rep.Summary())
 		}
 	}

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 
 	"dnastore/internal/align"
 	"dnastore/internal/dataset"
@@ -136,36 +135,4 @@ func LengthHistogramDistance(a, b *dataset.Dataset) float64 {
 		vb[l] = float64(c)
 	}
 	return ChiSquare(Normalize(va), Normalize(vb))
-}
-
-// KLDivergence returns the Kullback–Leibler divergence D(p‖q) of two
-// histograms after normalisation, with additive smoothing so that empty
-// q-bins do not produce infinities. Inputs of different lengths compare
-// over the longer length.
-func KLDivergence(p, q []float64, smoothing float64) float64 {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	if smoothing <= 0 {
-		smoothing = 1e-9
-	}
-	get := func(h []float64, i int) float64 {
-		if i < len(h) {
-			return h[i]
-		}
-		return 0
-	}
-	sumP, sumQ := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		sumP += get(p, i) + smoothing
-		sumQ += get(q, i) + smoothing
-	}
-	d := 0.0
-	for i := 0; i < n; i++ {
-		pi := (get(p, i) + smoothing) / sumP
-		qi := (get(q, i) + smoothing) / sumQ
-		d += pi * math.Log(pi/qi)
-	}
-	return d
 }

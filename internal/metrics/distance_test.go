@@ -108,21 +108,6 @@ func TestLengthHistogramDistance(t *testing.T) {
 	}
 }
 
-func TestKLDivergence(t *testing.T) {
-	p := []float64{1, 1, 2}
-	if d := KLDivergence(p, p, 0); math.Abs(d) > 1e-9 {
-		t.Errorf("self KL = %v", d)
-	}
-	q := []float64{2, 1, 1}
-	if d := KLDivergence(p, q, 0); d <= 0 {
-		t.Errorf("KL(p,q) = %v, want > 0", d)
-	}
-	// Different lengths and empty bins are handled via smoothing.
-	if d := KLDivergence([]float64{1}, []float64{0, 1}, 1e-6); math.IsInf(d, 0) || math.IsNaN(d) {
-		t.Errorf("smoothed KL = %v", d)
-	}
-}
-
 // emptyDS builds a dataset whose clusters have references but zero reads —
 // the shape a total-dropout fault or an unsequenced pool produces.
 func emptyDS(n int) *dataset.Dataset {

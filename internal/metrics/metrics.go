@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 
 	"dnastore/internal/align"
 	"dnastore/internal/dna"
@@ -278,21 +277,4 @@ func CensusErrors(refs, strands []dna.Strand) ErrorCensus {
 		}
 	}
 	return c
-}
-
-// MeanEditDistance returns the average Levenshtein distance between
-// corresponding strands, skipping erasures; NaN if nothing was compared.
-func MeanEditDistance(refs, strands []dna.Strand) float64 {
-	total, n := 0, 0
-	for i, ref := range refs {
-		if strands[i].Len() == 0 && ref.Len() > 0 {
-			continue
-		}
-		total += align.Distance(string(ref), string(strands[i]))
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return float64(total) / float64(n)
 }

@@ -208,15 +208,3 @@ func TestCensusErrors(t *testing.T) {
 		t.Error("empty census fraction should be 0")
 	}
 }
-
-func TestMeanEditDistance(t *testing.T) {
-	refs := []dna.Strand{"ACGT", "ACGT", "ACGT"}
-	strands := []dna.Strand{"ACGT", "ACG", ""}
-	m := MeanEditDistance(refs, strands)
-	if math.Abs(m-0.5) > 1e-12 {
-		t.Errorf("mean distance = %v, want 0.5", m)
-	}
-	if !math.IsNaN(MeanEditDistance([]dna.Strand{"A"}, []dna.Strand{""})) {
-		t.Error("all-erasure mean should be NaN")
-	}
-}

@@ -69,7 +69,7 @@ func ReconstructAll(rec Reconstructor, clusters [][]dna.Strand, length int) []dn
 // parallelFor calls fn(i) for every i in [0, n) on up to GOMAXPROCS
 // goroutines and returns when all calls have.
 //
-// Work-stealing dispatch (mirroring channel.simulateWith): cluster sizes
+// Work-stealing dispatch (mirroring channel.SimulateRange): cluster sizes
 // are heavy-tailed under realistic coverage, so contiguous chunking left
 // one worker grinding the big clusters while the others sat idle; a shared
 // atomic index balances the load. Reconstructors are deterministic, so

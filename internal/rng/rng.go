@@ -200,23 +200,6 @@ func (r *RNG) Poisson(lambda float64) int {
 	}
 }
 
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials (support {0, 1, 2, ...}). It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	// Avoid log(0).
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // NegBinomial returns a negative-binomial deviate: the number of failures
 // before the rth success with success probability p. For non-integral r it
 // uses the Gamma–Poisson mixture. Heckel et al. observed sequencing coverage
@@ -280,20 +263,6 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 			return d * v * scale
 		}
 	}
-}
-
-// Triangular returns a deviate from the triangular distribution on [a, b]
-// with mode c. It panics unless a <= c <= b and a < b.
-func (r *RNG) Triangular(a, c, b float64) float64 {
-	if !(a <= c && c <= b) || a >= b {
-		panic("rng: Triangular requires a <= c <= b and a < b")
-	}
-	u := r.Float64()
-	fc := (c - a) / (b - a)
-	if u < fc {
-		return a + math.Sqrt(u*(b-a)*(c-a))
-	}
-	return b - math.Sqrt((1-u)*(b-a)*(b-c))
 }
 
 // Binomial returns the number of successes in n Bernoulli(p) trials.

@@ -192,24 +192,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(12)
-	p := 0.25
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	mean := sum / n
-	want := (1 - p) / p // mean of failures-before-success geometric
-	if math.Abs(mean-want) > 0.1 {
-		t.Errorf("Geometric(%v) mean = %v, want %v", p, mean, want)
-	}
-	if r.Geometric(1) != 0 {
-		t.Error("Geometric(1) != 0")
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	r := New(13)
 	for _, c := range []struct{ shape, scale float64 }{{0.5, 2}, {2, 3}, {9, 0.5}} {
@@ -260,25 +242,6 @@ func TestNegBinomialMoments(t *testing.T) {
 	}
 }
 
-func TestTriangularSupportAndMean(t *testing.T) {
-	r := New(15)
-	a, c, b := 0.0, 0.3, 0.3 // right-edge mode
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		x := r.Triangular(a, c, b)
-		if x < a || x > b {
-			t.Fatalf("triangular out of support: %v", x)
-		}
-		sum += x
-	}
-	mean := sum / n
-	want := (a + b + c) / 3
-	if math.Abs(mean-want) > 0.01 {
-		t.Errorf("triangular mean = %v, want %v", mean, want)
-	}
-}
-
 func TestBinomialMoments(t *testing.T) {
 	r := New(16)
 	for _, c := range []struct {
@@ -305,49 +268,6 @@ func TestBinomialMoments(t *testing.T) {
 	}
 	if New(1).Binomial(5, 1) != 5 {
 		t.Error("Binomial(5,1) != 5")
-	}
-}
-
-func TestCategorical(t *testing.T) {
-	c := MustCategorical([]float64{1, 3, 0, 6})
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if math.Abs(c.Prob(1)-0.3) > 1e-12 {
-		t.Errorf("Prob(1) = %v, want 0.3", c.Prob(1))
-	}
-	if c.Prob(2) != 0 {
-		t.Errorf("Prob(2) = %v, want 0", c.Prob(2))
-	}
-	if c.Prob(-1) != 0 || c.Prob(4) != 0 {
-		t.Error("out-of-range Prob should be 0")
-	}
-	r := New(17)
-	const n = 200000
-	counts := make([]int, 4)
-	for i := 0; i < n; i++ {
-		counts[c.Sample(r)]++
-	}
-	if counts[2] != 0 {
-		t.Errorf("sampled zero-weight outcome %d times", counts[2])
-	}
-	for i, want := range []float64{0.1, 0.3, 0, 0.6} {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("outcome %d freq = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestCategoricalErrors(t *testing.T) {
-	if _, err := NewCategorical(nil); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, err := NewCategorical([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-	if _, err := NewCategorical([]float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
 	}
 }
 

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,11 +68,13 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, series string) float64 {
 func TestChaosFlakyPanicRetriesConverge(t *testing.T) {
 	var budget atomic.Int64
 	budget.Store(3)
+	var logs lockedBuffer
 	s := testServer(t, Config{
 		Workers: 2,
 		WrapSimulation: func(ch channel.Channel, cov channel.CoverageModel) (channel.Channel, channel.CoverageModel) {
 			return faults.FlakyPanic{Base: ch, Remaining: &budget}, cov
 		},
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 
 	spec := simSpec(21)
@@ -89,6 +93,28 @@ func TestChaosFlakyPanicRetriesConverge(t *testing.T) {
 	if want := sequentialResult(t, spec.Simulate); !bytes.Equal(got, want) {
 		t.Error("post-panic retry output differs from sequential run")
 	}
+	if want := `msg="job requeued" job=` + j.ID + " "; !strings.Contains(logs.String(), want) {
+		t.Errorf("no requeue record for job %s in the server log:\n%s", j.ID, logs.String())
+	}
+}
+
+// lockedBuffer is a log sink the test can read while server goroutines
+// are still writing to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestChaosOverloadShedsWithRetryAfter: with one slow worker and a

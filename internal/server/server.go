@@ -100,11 +100,8 @@ type Config struct {
 	// coverage model — the chaos-drill injection point for panic, stall
 	// and latency injectors.
 	WrapSimulation func(ch channel.Channel, cov channel.CoverageModel) (channel.Channel, channel.CoverageModel)
-	// Logf receives operational log lines (default: discard).
-	Logf func(format string, args ...any)
-	// Logger, when set, receives structured per-request and per-job logs
-	// (job IDs, outcomes, stage timings). Independent of Logf so existing
-	// printf-style consumers keep working.
+	// Logger receives structured per-request and per-job logs (job IDs,
+	// outcomes, stage timings, drain and retry events; default: discard).
 	Logger *slog.Logger
 	// Registry receives the server's metrics; nil allocates a private
 	// registry (exposed via Server.Registry and GET /metrics either way).
@@ -182,7 +179,7 @@ func New(cfg Config) *Server {
 // NewFrontEnd returns a serving front-end over exec, allocating job IDs as
 // idPrefix plus a six-digit sequence. It applies every Config default; the
 // front-end itself reads only DrainGrace, EstimatedJobTime and Workers
-// (the Retry-After hints), Logf, Logger and Registry.
+// (the Retry-After hints), Logger and Registry.
 func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 64
@@ -208,9 +205,6 @@ func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 	if cfg.EstimatedJobTime <= 0 {
 		cfg.EstimatedJobTime = 2 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
@@ -230,9 +224,6 @@ func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 	s.routes()
 	return s
 }
-
-// logf forwards to the configured logger.
-func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) }
 
 // Registry returns the server's metrics registry (also served from
 // GET /metrics).
@@ -464,12 +455,12 @@ func (s *Server) Drain() {
 		s.phase = PhaseDraining
 		s.drainStarted = time.Now()
 		s.mu.Unlock()
-		s.logf("drain: admission stopped")
+		s.slog.Info("drain: admission stopped")
 		s.exec.Drain()
 		s.mu.Lock()
 		s.phase = PhaseStopped
 		s.mu.Unlock()
-		s.logf("drain: stopped")
+		s.slog.Info("drain: stopped")
 	})
 }
 

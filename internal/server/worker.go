@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dnastore/internal/channel"
-	"dnastore/internal/dataset"
 	"dnastore/internal/faults"
 	"dnastore/internal/obs"
 	"dnastore/internal/store"
@@ -103,7 +102,7 @@ func (e *localExec) Drain() {
 	select {
 	case <-workersDone:
 	case <-time.After(e.cfg.DrainGrace):
-		e.s.logf("drain: grace expired, canceling stragglers")
+		e.s.slog.Warn("drain: grace expired, canceling stragglers")
 		for _, j := range e.s.RunningJobs() {
 			j.Interrupt(errDraining)
 		}
@@ -264,7 +263,7 @@ func (e *localExec) settle(j *Job, ctx context.Context, out jobOutcome, abandone
 		return
 
 	case errors.Is(cause, ErrStalled):
-		e.s.logf("job %s attempt stalled: %v", j.ID, out.err)
+		e.s.slog.Warn("attempt stalled", "job", j.ID, "error", out.err)
 		e.retryOrFail(j, fmt.Errorf("stalled: %w", cause))
 		return
 
@@ -311,7 +310,7 @@ func (e *localExec) retryOrFail(j *Job, attemptErr error) {
 		return
 	}
 	e.metrics.requeues.Inc()
-	e.s.logf("job %s requeued after attempt %d: %v", j.ID, attempts, attemptErr)
+	e.s.slog.Warn("job requeued", "job", j.ID, "attempt", attempts, "error", attemptErr)
 }
 
 // execute dispatches one attempt by kind.
@@ -351,7 +350,7 @@ func (e *localExec) closeJobCheckpoint(j *Job, completed bool) {
 	if completed {
 		if path := e.jobCheckpointPath(j); path != "" {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				e.s.logf("job %s: removing checkpoint: %v", j.ID, err)
+				e.s.slog.Warn("removing checkpoint failed", "job", j.ID, "error", err)
 			}
 		}
 	}
@@ -399,20 +398,12 @@ func (e *localExec) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 		j.ckpt = ckpt
 		j.mu.Unlock()
 		if n := ckpt.Completed(); n > 0 {
-			e.s.logf("job %s resuming: %d/%d clusters journaled", j.ID, n, count)
+			e.s.slog.Info("resuming", "job", j.ID, "journaled", n, "clusters", count)
 			j.setProgress(n, count)
 		}
 	}
 
-	var (
-		ds     *dataset.Dataset
-		simErr error
-	)
-	if ckpt != nil {
-		ds, simErr = sim.SimulateRangeCheckpoint(ctx, "simulated", refs, spec.Seed, first, count, ckpt)
-	} else {
-		ds, simErr = sim.SimulateRangeCtx(ctx, "simulated", refs, spec.Seed, first, count)
-	}
+	ds, simErr := sim.SimulateRange(ctx, "simulated", refs, spec.Seed, first, count, ckpt)
 	if simErr != nil {
 		var se *channel.SimulationError
 		if errors.As(simErr, &se) && se.Canceled != nil {
