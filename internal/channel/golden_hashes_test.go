@@ -23,4 +23,9 @@ const (
 	// Chimera case, captured when chimeras became a per-cluster read
 	// channel.
 	goldenHashChimera = "7e4231457886ff9c409684f252a81ff9"
+	// Homopolymer and chimera-over-pipeline cases, captured while both
+	// channels still transmitted through the Strand API, before they moved
+	// onto the append kernel.
+	goldenHashHomopolymer     = "cbab5de85dfdd1d54fff0df7986bf059"
+	goldenHashChimeraPipeline = "5436c9202173548a0b6ab6d758e58c5e"
 )

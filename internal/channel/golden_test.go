@@ -87,6 +87,27 @@ func goldenChimera() *Chimera {
 	return ch
 }
 
+// goldenHomopolymer boosts errors inside homopolymer runs of a spatially
+// skewed model, so the per-strand multiplier composes with a non-uniform
+// base shape.
+func goldenHomopolymer() *HomopolymerModel {
+	h, err := NewHomopolymerModel(goldenModelCond().WithSpatial(dist.NanoporeSkew()), 3, 3)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// goldenChimeraPipeline injects chimeras ahead of the population-aware
+// pipeline, among the chimera-pipeline case's references.
+func goldenChimeraPipeline(physical Pipeline) *Chimera {
+	ch, err := NewChimera(physical, RandomReferences(40, 110, 47), 0.15)
+	if err != nil {
+		panic(err)
+	}
+	return ch
+}
+
 // goldenCases is the pinned workload matrix. Hashes are filled in below.
 func goldenCases() []goldenCase {
 	physical := NewPhysicalPipeline("golden-physical", 0.059, 100)
@@ -168,6 +189,24 @@ func goldenCases() []goldenCase {
 			coverage: FixedCoverage(6),
 			clusters: 40, refLen: 110, seed: 41,
 			hash: goldenHashChimera,
+		},
+		{
+			// Homopolymer boost: a per-strand spatial product recompiled
+			// for every read.
+			name:     "homopolymer",
+			channel:  goldenHomopolymer(),
+			coverage: FixedCoverage(5),
+			clusters: 40, refLen: 110, seed: 43,
+			hash: goldenHashHomopolymer,
+		},
+		{
+			// Chimeras spliced ahead of every strand stage, with the pool
+			// stages bound over the coverage.
+			name:     "chimera-pipeline",
+			channel:  goldenChimeraPipeline(physical),
+			coverage: physical.BindCoverage(NegBinCoverage{Mean: 8, Dispersion: 2.5}),
+			clusters: 40, refLen: 110, seed: 47,
+			hash: goldenHashChimeraPipeline,
 		},
 	}
 }
