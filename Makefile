@@ -13,16 +13,17 @@ test:
 verify: build test verify-race chaos-smoke fuzz-smoke examples-smoke
 
 # Race-detector pass over the concurrent packages: the simulator worker
-# pool and checkpointing (internal/channel), the adaptive retrieve path
-# (internal/store), the journal (internal/durable), the metrics
-# registry / stage timer (internal/obs), and the get path's parallel
-# reconstruction (internal/recon workers sharing the pooled
+# pool and checkpointing (internal/channel), the fault wrappers that write
+# into each simulation worker's arena (internal/faults), the adaptive
+# retrieve path (internal/store), the journal (internal/durable), the
+# metrics registry / stage timer (internal/obs), and the get path's
+# parallel reconstruction (internal/recon workers sharing the pooled
 # internal/align script matrices and recon's pooled vote columns, over
 # internal/cluster's output).
 verify-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/channel/... ./internal/store/... ./internal/durable/... ./internal/obs/... \
-		./internal/align/... ./internal/recon/... ./internal/cluster/...
+	$(GO) test -race ./internal/channel/... ./internal/faults/... ./internal/store/... ./internal/durable/... \
+		./internal/obs/... ./internal/align/... ./internal/recon/... ./internal/cluster/...
 
 # Chaos smoke: the dnasimd job-server drills — injected panics, stalls,
 # overload shedding, breaker trips and the drain/resume cycle — plus the

@@ -104,7 +104,7 @@ func BenchmarkWetlabTransmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch.Transmit(refs[0], r)
+		channel.Transmit(ch, refs[0], r)
 	}
 }
 

@@ -66,7 +66,7 @@ type benchWorkload struct {
 // secondOrderBenchModel builds the paper's full "+ 2nd-order Errors" tier:
 // spatial skew plus specific errors with their own histograms — the
 // workload whose per-position second-order scans and (formerly) mutex
-// traffic dominate Transmit cost.
+// traffic dominate transmit cost.
 func secondOrderBenchModel() *channel.Model {
 	m := channel.NewNaive("bench-2so", channel.NanoporeMix(0.059))
 	m.LongDel = channel.PaperLongDeletion()
@@ -229,22 +229,17 @@ func runJSONBench(path string, seed uint64) error {
 	return nil
 }
 
-// loadBaseline reads a BENCH_sim.json, accepting both the current array
-// schema and the original single-object schema.
+// loadBaseline reads a BENCH_sim.json: an array of results.
 func loadBaseline(path string) ([]benchResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var list []benchResult
-	if err := json.Unmarshal(data, &list); err == nil {
-		return list, nil
+	if err := json.Unmarshal(data, &list); err != nil {
+		return nil, fmt.Errorf("%s: not a benchmark baseline (array of results): %w", path, err)
 	}
-	var one benchResult
-	if err := json.Unmarshal(data, &one); err == nil && one.Name != "" {
-		return []benchResult{one}, nil
-	}
-	return nil, fmt.Errorf("%s: not a benchmark baseline (array or single object)", path)
+	return list, nil
 }
 
 // allocGrace is the absolute allocs/op slack the gate always allows: ±a

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // preFixAllocRegressed replicates the alloc gate as it stood before
 // allocRegressed was extracted: the fractional delta was only computed
@@ -62,5 +66,21 @@ func TestAllocRegressedPositiveBaseline(t *testing.T) {
 			t.Errorf("allocRegressed(%d, %d, %g) = %v, want %v",
 				c.baseline, c.current, c.tolerance, got, c.want)
 		}
+	}
+}
+
+// TestLoadBaselineReadsCommittedFile: the gate reads the committed
+// BENCH_sim.json, and a file that is not an array of results fails.
+func TestLoadBaselineReadsCommittedFile(t *testing.T) {
+	list, err := loadBaseline("../../BENCH_sim.json")
+	if err != nil || len(list) == 0 {
+		t.Fatalf("committed baseline: %d results, %v", len(list), err)
+	}
+	bad := filepath.Join(t.TempDir(), "single.json")
+	if err := os.WriteFile(bad, []byte(`{"name":"channel.simulate","ns_per_op":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadBaseline(bad); err == nil {
+		t.Error("single-object baseline accepted")
 	}
 }

@@ -20,8 +20,7 @@ import (
 // BENCH_sim.json has for the simulate hot path.
 //
 // The file holds named entries ("dnaload/v2") so single-server and fleet
-// measurements live side by side and regress independently; a legacy
-// "dnaload/v1" single-object file loads as one entry named "single".
+// measurements live side by side and regress independently.
 
 // loadConfig pins the workload shape a report was measured under.
 type loadConfig struct {
@@ -47,7 +46,6 @@ type latencyMS struct {
 // loadReport is one dnaload measurement: the client-side outcome ledger,
 // the server-side counter reconciliation, and the capacity numbers.
 type loadReport struct {
-	Schema string     `json:"schema,omitempty"` // set on legacy v1 single-object files only
 	Name   string     `json:"name"`
 	Config loadConfig `json:"config"`
 
@@ -236,31 +234,22 @@ type loadFile struct {
 	Entries []*loadReport `json:"entries"`
 }
 
-// parseLoadFile reads either schema generation: a v2 multi-entry file, or
-// a legacy v1 single-object report promoted to one entry named "single".
+// parseLoadFile reads a "dnaload/v2" multi-entry file; any other schema
+// is an error.
 func parseLoadFile(path string, data []byte) (*loadFile, error) {
 	var f loadFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: not a dnaload report: %w", path, err)
 	}
-	switch f.Schema {
-	case "dnaload/v2":
-		for _, e := range f.Entries {
-			if e.Name == "" {
-				e.Name = "single"
-			}
-		}
-		return &f, nil
-	case "dnaload/v1":
-		var r loadReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("%s: not a dnaload report: %w", path, err)
-		}
-		r.Name = "single"
-		return &loadFile{Schema: "dnaload/v2", Entries: []*loadReport{&r}}, nil
-	default:
+	if f.Schema != "dnaload/v2" {
 		return nil, fmt.Errorf("%s: unknown schema %q", path, f.Schema)
 	}
+	for _, e := range f.Entries {
+		if e.Name == "" {
+			e.Name = "single"
+		}
+	}
+	return &f, nil
 }
 
 // write lands the report at path as a v2 file, replacing the same-named
@@ -277,7 +266,6 @@ func (r *loadReport) write(path string) error {
 	if entry.Name == "" {
 		entry.Name = "single"
 	}
-	entry.Schema = "" // the file carries the schema; entries don't
 	replaced := false
 	for i, e := range f.Entries {
 		if e.Name == entry.Name {

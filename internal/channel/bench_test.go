@@ -24,13 +24,13 @@ func BenchmarkTransmitSecondOrderSpatial(b *testing.B) {
 func benchTransmit(b *testing.B, ch Channel) {
 	refs := RandomReferences(1, 110, 42)
 	ref := refs[0]
-	ch.Transmit(ref, rng.New(1)) // warm the plan cache outside the timer
+	Transmit(ch, ref, rng.New(1)) // warm the plan cache outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		r := rng.New(99)
 		for pb.Next() {
-			ch.Transmit(ref, r)
+			Transmit(ch, ref, r)
 		}
 	})
 }

@@ -9,19 +9,15 @@
 // clustered datasets.
 package channel
 
-import (
-	"fmt"
+import "fmt"
 
-	"dnastore/internal/dna"
-	"dnastore/internal/rng"
-)
-
-// Channel is a noisy transformation of a single strand. Implementations
-// must be deterministic given the RNG stream and safe for concurrent use as
-// long as each goroutine supplies its own RNG.
+// Channel is a noisy transformation of a single strand, run on the
+// append kernel (AppendTransmitter). Implementations must be
+// deterministic given the RNG stream and safe for concurrent use as long
+// as each goroutine supplies its own RNG and Scratch. Transmit is the
+// one-read convenience over the kernel.
 type Channel interface {
-	// Transmit produces one noisy copy of ref.
-	Transmit(ref dna.Strand, r *rng.RNG) dna.Strand
+	AppendTransmitter
 	// Name identifies the channel in tables and CLIs.
 	Name() string
 }

@@ -91,11 +91,11 @@ func TestZeroModelIsIdentity(t *testing.T) {
 	r := rng.New(2)
 	ref := dna.Strand("ACGTACGTACGT")
 	for i := 0; i < 100; i++ {
-		if got := m.Transmit(ref, r); got != ref {
+		if got := Transmit(m, ref, r); got != ref {
 			t.Fatalf("zero model perturbed strand: %q", got)
 		}
 	}
-	if m.Transmit("", r) != "" {
+	if Transmit(m, "", r) != "" {
 		t.Error("empty strand not preserved")
 	}
 }
@@ -110,7 +110,7 @@ func TestNaiveAggregateRate(t *testing.T) {
 	totalDist, totalBases := 0, 0
 	for _, ref := range refs {
 		for k := 0; k < 5; k++ {
-			read := m.Transmit(ref, r)
+			read := Transmit(m, ref, r)
 			totalDist += align.Distance(string(ref), string(read))
 			totalBases += ref.Len()
 		}
@@ -126,7 +126,7 @@ func TestSubOnlyPreservesLength(t *testing.T) {
 	r := rng.New(4)
 	ref := dna.Strand(RandomReferences(1, 200, 1)[0])
 	for i := 0; i < 50; i++ {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		if read.Len() != ref.Len() {
 			t.Fatalf("sub-only changed length: %d != %d", read.Len(), ref.Len())
 		}
@@ -139,7 +139,7 @@ func TestDelOnlyShortens(t *testing.T) {
 	ref := dna.Strand(RandomReferences(1, 200, 2)[0])
 	shorter := 0
 	for i := 0; i < 50; i++ {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		if read.Len() > ref.Len() {
 			t.Fatalf("del-only lengthened strand")
 		}
@@ -158,7 +158,7 @@ func TestInsOnlyLengthens(t *testing.T) {
 	ref := dna.Strand(RandomReferences(1, 200, 3)[0])
 	longer := 0
 	for i := 0; i < 50; i++ {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		if read.Len() < ref.Len() {
 			t.Fatalf("ins-only shortened strand")
 		}
@@ -177,7 +177,7 @@ func TestSubstitutionNeverProducesSameBaseWithMatrix(t *testing.T) {
 	m.SubMatrix = TransitionBiasedSubMatrix(0.8)
 	r := rng.New(7)
 	ref := dna.Repeat(dna.A, 2000)
-	read := m.Transmit(ref, r)
+	read := Transmit(m, ref, r)
 	if read.Len() != 2000 {
 		t.Fatalf("length changed")
 	}
@@ -204,7 +204,7 @@ func TestUniformSubCanProduceAnyOtherBase(t *testing.T) {
 	m := NewNaive("sub", Rates{Sub: 0.5})
 	r := rng.New(8)
 	ref := dna.Repeat(dna.C, 3000)
-	read := m.Transmit(ref, r)
+	read := Transmit(m, ref, r)
 	seen := map[dna.Base]int{}
 	for i := 0; i < read.Len(); i++ {
 		if read.At(i) != dna.C {
@@ -224,7 +224,7 @@ func TestInsDistRespected(t *testing.T) {
 	m.InsDist = [dna.NumBases]float64{0, 0, 0, 1} // only T inserted
 	r := rng.New(9)
 	ref := dna.Repeat(dna.A, 3000)
-	read := m.Transmit(ref, r)
+	read := Transmit(m, ref, r)
 	for i := 0; i < read.Len(); i++ {
 		if b := read.At(i); b != dna.A && b != dna.T {
 			t.Fatalf("unexpected inserted base %v", b)
@@ -242,7 +242,7 @@ func TestLongDeletionBursts(t *testing.T) {
 	const n = 2000
 	totalDel := 0
 	for i := 0; i < n; i++ {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		totalDel += ref.Len() - read.Len()
 	}
 	// Expected deletions per strand ≈ 110 * 0.02 * 2.
@@ -260,7 +260,7 @@ func TestSpatialSkewConcentratesErrors(t *testing.T) {
 	counts := make([]int, 110)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		for p := 0; p < 110; p++ {
 			if read[p] != ref[p] {
 				counts[p]++
@@ -291,8 +291,8 @@ func TestSpatialSkewPreservesAggregate(t *testing.T) {
 	refs := RandomReferences(300, 110, 6)
 	dist0, dist1 := 0, 0
 	for _, ref := range refs {
-		dist0 += align.Distance(string(ref), string(base.Transmit(ref, r)))
-		dist1 += align.Distance(string(ref), string(skewed.Transmit(ref, r)))
+		dist0 += align.Distance(string(ref), string(Transmit(base, ref, r)))
+		dist1 += align.Distance(string(ref), string(Transmit(skewed, ref, r)))
 	}
 	ratio := float64(dist1) / float64(dist0)
 	if math.Abs(ratio-1) > 0.12 {
@@ -312,7 +312,7 @@ func TestSecondOrderSpecificError(t *testing.T) {
 	const n = 5000
 	deleted := 0
 	for i := 0; i < n; i++ {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		deleted += ref.Len() - read.Len()
 		for p := 0; p < read.Len(); p++ {
 			if read[p] == 'G' {
@@ -325,7 +325,7 @@ func TestSecondOrderSpecificError(t *testing.T) {
 	}
 	// All deletions must be G (first half is A with no applicable error).
 	m2 := &Model{Label: "so2", SecondOrder: []SecondOrderError{so}}
-	readA := m2.Transmit(dna.Repeat(dna.A, 100), r)
+	readA := Transmit(m2, dna.Repeat(dna.A, 100), r)
 	if readA.Len() != 100 {
 		t.Error("del(G) fired on an all-A strand")
 	}
@@ -378,7 +378,7 @@ func TestWithSecondOrderEmpiricalAggregate(t *testing.T) {
 	r := rng.New(14)
 	totalDist, totalBases := 0, 0
 	for _, ref := range refs {
-		read := m.Transmit(ref, r)
+		read := Transmit(m, ref, r)
 		totalDist += align.Distance(string(ref), string(read))
 		totalBases += ref.Len()
 	}
@@ -391,8 +391,8 @@ func TestWithSecondOrderEmpiricalAggregate(t *testing.T) {
 func TestModelTransmitDeterministic(t *testing.T) {
 	m := NewNaive("d", EqualMix(0.1)).WithSpatial(dist.TriangularA{})
 	ref := dna.Strand(RandomReferences(1, 110, 9)[0])
-	a := m.Transmit(ref, rng.New(42))
-	b := m.Transmit(ref, rng.New(42))
+	a := Transmit(m, ref, rng.New(42))
+	b := Transmit(m, ref, rng.New(42))
 	if a != b {
 		t.Error("Transmit not deterministic for equal RNG state")
 	}

@@ -50,34 +50,47 @@ func (c *Chimera) Name() string {
 	return fmt.Sprintf("%s+chimera(%.3f)", c.Base.Name(), c.P)
 }
 
-// Transmit implements Channel. The chimera draw consumes nothing at P=0,
-// so a zero-rate Chimera is draw-for-draw its base channel.
-func (c *Chimera) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+// AppendTransmit implements Channel. The chimera draw consumes nothing at
+// P=0, so a zero-rate Chimera is draw-for-draw its base channel. Only a
+// chimeric read decodes its partner and allocates the spliced template.
+func (c *Chimera) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
 	if r.Bool(c.P) {
 		// A partner other than ref, uniform over the rest of the pool: the
 		// last reference stands in for ref's own slot.
 		n := len(c.Refs)
 		partner := c.Refs[r.Intn(n-1)]
-		if partner == ref {
+		if sameStrand(partner, ref) {
 			partner = c.Refs[n-1]
 		}
 		ref = spliceTemplates(ref, partner, r)
 	}
-	return c.Base.Transmit(ref, r)
+	return c.Base.AppendTransmit(dst, ref, r, scr)
+}
+
+// sameStrand reports whether s spells exactly the base codes in codes.
+func sameStrand(s dna.Strand, codes []dna.Base) bool {
+	for i, b := range codes {
+		if i >= len(s) || s[i] != b.Byte() {
+			return false
+		}
+	}
+	return len(s) == len(codes)
 }
 
 // spliceTemplates joins a prefix of a with a suffix of b at a uniform
 // position (at least one base from each side).
-func spliceTemplates(a, b dna.Strand, r *rng.RNG) dna.Strand {
-	if a.Len() < 2 || b.Len() < 2 {
+func spliceTemplates(a []dna.Base, b dna.Strand, r *rng.RNG) []dna.Base {
+	if len(a) < 2 || b.Len() < 2 {
 		return a
 	}
-	cut := 1 + r.Intn(a.Len()-1)
+	cut := 1 + r.Intn(len(a)-1)
 	// The suffix starts at the corresponding relative position of b so the
 	// chimera's length stays near the design length.
 	bCut := cut
 	if bCut >= b.Len() {
 		bCut = b.Len() - 1
 	}
-	return a[:cut] + b[bCut:]
+	// Capping the prefix's capacity makes AppendBases copy it into a fresh
+	// slice, so a's backing array (the caller's arena) is never written.
+	return b[bCut:].AppendBases(a[:cut:cut])
 }

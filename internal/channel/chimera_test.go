@@ -116,7 +116,7 @@ func TestChimeraPartnerNeverSelf(t *testing.T) {
 	for _, ref := range refs {
 		seen := map[byte]bool{}
 		for k := 0; k < 200; k++ {
-			read := ch.Transmit(ref, r)
+			read := Transmit(ch, ref, r)
 			tail := read[read.Len()-1]
 			if tail == ref[0] {
 				t.Fatalf("ref %s spliced with itself: %s", ref, read)

@@ -56,35 +56,19 @@ func (s *DNASimulator) Name() string {
 	return "DNASimulator"
 }
 
-// StageName implements Stage.
-func (s *DNASimulator) StageName() string { return s.Name() }
-
-// Transmit implements Channel, following Algorithm 1: for every base, draw
-// one uniform variate and compare it against the cumulative thresholds
-// sub, sub+ins, sub+ins+del, sub+ins+del+longdel. Substituted and inserted
-// bases are uniform over all four bases — including, for substitutions,
-// the original base, one of the modelling deficiencies §2.2.3 documents.
+// AppendTransmit implements Channel, following Algorithm 1: for every
+// base, draw one uniform variate and compare it against the cumulative
+// thresholds sub, sub+ins, sub+ins+del, sub+ins+del+longdel. Substituted
+// and inserted bases are uniform over all four bases — including, for
+// substitutions, the original base, one of the modelling deficiencies
+// §2.2.3 documents.
 //
-// Transmit wraps the AppendTransmit fast path in a pooled arena; like
-// Model.Transmit, the only allocation left is the immutable result Strand.
-func (s *DNASimulator) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	if ref.Len() == 0 {
-		return ref
-	}
-	scr := scratchPool.Get().(*Scratch)
-	scr.out = s.AppendTransmit(scr.out[:0], scr.RefBases(ref), r, scr)
-	out := dna.Strand(scr.out)
-	scratchPool.Put(scr)
-	return out
-}
-
-// AppendTransmit implements AppendTransmitter for the Algorithm 1
-// baseline. The cumulative thresholds are hoisted out of the position
-// loop and converted to integer draw-grid form (the same exact
-// equivalence plan.go documents: u < t ⟺ bits < ceil(t*2^53)), so output
-// is byte-identical to the inline float sums Algorithm 1 computed; draws
-// come straight out of the arena's batched RNG block and the generator is
-// backstepped to the exact per-draw stream position afterwards.
+// The cumulative thresholds are hoisted out of the position loop and
+// converted to integer draw-grid form (the same exact equivalence plan.go
+// documents: u < t ⟺ bits < ceil(t*2^53)), so output is byte-identical
+// to the inline float sums Algorithm 1 computed; draws come straight out
+// of the arena's batched RNG block and the generator is backstepped to
+// the exact per-draw stream position afterwards.
 func (s *DNASimulator) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
 	if len(ref) == 0 {
 		return dst

@@ -11,7 +11,7 @@ import (
 // Example shows the simplest use of a channel: perturb one strand.
 func Example() {
 	ch := channel.NewNaive("demo", channel.Rates{Sub: 0.5})
-	read := ch.Transmit("ACGTACGTACGT", rng.New(42))
+	read := channel.Transmit(ch, "ACGTACGTACGT", rng.New(42))
 	fmt.Println(len(read) == 12) // substitutions preserve length
 	// Output: true
 }

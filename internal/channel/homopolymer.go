@@ -49,14 +49,14 @@ func (h *HomopolymerModel) Name() string {
 // mass-preserving).
 func (h *HomopolymerModel) AggregateRate() float64 { return h.Base.AggregateRate() }
 
-// Transmit implements Channel: it temporarily composes a per-strand
+// AppendTransmit implements Channel: it temporarily composes a per-strand
 // position multiplier (boost inside runs, renormalised to mean 1) with the
 // base model's own spatial shape by running the base model against a
 // strand-specific wrapper.
-func (h *HomopolymerModel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+func (h *HomopolymerModel) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
 	mult := h.runMultipliers(ref)
 	if mult == nil {
-		return h.Base.Transmit(ref, r)
+		return h.Base.AppendTransmit(dst, ref, r, scr)
 	}
 	// Rejection-style composition: sample from the base model but thin or
 	// intensify per position. The simplest faithful mechanism is a
@@ -64,21 +64,21 @@ func (h *HomopolymerModel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
 	// Spatial is the product of the base shape and the run multiplier.
 	clone := h.Base.shallowCopy()
 	clone.Spatial = productSpatial{base: h.Base, mult: mult}
-	return clone.Transmit(ref, r)
+	return clone.AppendTransmit(dst, ref, r, scr)
 }
 
 // runMultipliers returns per-position multipliers with mean 1, or nil when
 // the strand has no qualifying runs.
-func (h *HomopolymerModel) runMultipliers(ref dna.Strand) []float64 {
+func (h *HomopolymerModel) runMultipliers(ref []dna.Base) []float64 {
 	minRun := h.MinRun
 	if minRun < 2 {
 		minRun = 3
 	}
-	runs := ref.Homopolymers(minRun)
+	runs := dna.FromBases(ref).Homopolymers(minRun)
 	if len(runs) == 0 || h.Boost == 1 {
 		return nil
 	}
-	mult := make([]float64, ref.Len())
+	mult := make([]float64, len(ref))
 	for i := range mult {
 		mult[i] = 1
 	}

@@ -44,7 +44,7 @@ func TestHomopolymerBoostConcentratesErrors(t *testing.T) {
 	inRun, outRun := 0, 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		read := h.Transmit(ref, r)
+		read := Transmit(h, ref, r)
 		for p := 0; p < ref.Len(); p++ {
 			if read[p] != ref[p] {
 				if p >= 40 && p < 60 {
@@ -85,8 +85,8 @@ func TestHomopolymerBoostPreservesAggregate(t *testing.T) {
 	}
 	dBase, dBoost := 0, 0
 	for _, ref := range refs {
-		dBase += align.Distance(string(ref), string(base.Transmit(ref, r)))
-		dBoost += align.Distance(string(ref), string(h.Transmit(ref, r)))
+		dBase += align.Distance(string(ref), string(Transmit(base, ref, r)))
+		dBoost += align.Distance(string(ref), string(Transmit(h, ref, r)))
 	}
 	ratio := float64(dBoost) / float64(dBase)
 	if math.Abs(ratio-1) > 0.12 {
@@ -101,8 +101,8 @@ func TestHomopolymerNoRunsPassThrough(t *testing.T) {
 	base := NewNaive("b", Rates{Sub: 0.1})
 	h, _ := NewHomopolymerModel(base, 3, 3)
 	ref := dna.Strand(strings.Repeat("ACGT", 25)) // no runs >= 3
-	a := h.Transmit(ref, rng.New(7))
-	b := base.Transmit(ref, rng.New(7))
+	a := Transmit(h, ref, rng.New(7))
+	b := Transmit(base, ref, rng.New(7))
 	if a != b {
 		t.Error("no-run strand should use the base model verbatim")
 	}
@@ -136,8 +136,8 @@ func TestGCBiasCoverage(t *testing.T) {
 	if bias.PoolCoverage("", 0, 40, r) != 40 {
 		t.Error("an empty reference should pass the count through")
 	}
-	if !strings.Contains(bias.StageName(), "gcbias") {
-		t.Errorf("StageName = %q", bias.StageName())
+	if !strings.Contains(bias.Name(), "gcbias") {
+		t.Errorf("Name = %q", bias.Name())
 	}
 	// Zero strength is a no-op.
 	if (GCBias{}).PoolCoverage(extreme, 0, 7, r) != 7 {

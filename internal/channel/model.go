@@ -63,7 +63,7 @@ func (e SecondOrderError) applies(b dna.Base) bool {
 //     spatial histograms; PerBase rates hold the residual generic mass.
 //
 // The zero Model is an error-free channel. Models are safe for concurrent
-// Transmit calls.
+// AppendTransmit calls.
 type Model struct {
 	// Label is the channel name reported in tables.
 	Label string
@@ -83,10 +83,10 @@ type Model struct {
 	// PerBase so the aggregate stays fixed.
 	SecondOrder []SecondOrderError
 	// plans caches one compiled transmission plan per strand length in a
-	// copy-on-write map (see plan.go): Transmit reads it with a single
+	// copy-on-write map (see plan.go): AppendTransmit reads it with a single
 	// atomic load and never takes a lock. Like the mutex-guarded caches it
 	// replaced, it assumes the model's parameter fields are not mutated
-	// after the first Transmit.
+	// after the first AppendTransmit.
 	plans atomic.Pointer[map[int]*txPlan]
 }
 
@@ -97,10 +97,6 @@ func (m *Model) Name() string {
 	}
 	return "model"
 }
-
-// StageName implements Stage: every Model is usable directly as a
-// per-strand pipeline stage.
-func (m *Model) StageName() string { return m.Name() }
 
 // NewNaive returns the paper's naive simulator: three aggregate parameters,
 // no base conditioning, no bursts, uniform spatial distribution.
@@ -135,36 +131,19 @@ func (m *Model) AggregateRate() float64 {
 // maxPositionRate caps the combined event probability at one position.
 const maxPositionRate = 0.99
 
-// Transmit implements Channel. Events at each reference position are, in
-// cumulative order: each applicable second-order error, generic
+// AppendTransmit implements Channel. Events at each reference position
+// are, in cumulative order: each applicable second-order error, generic
 // substitution, generic insertion (ref base emitted, extra base appended),
-// generic deletion, long deletion (burst of >= 2 bases), else faithful copy.
+// generic deletion, long deletion (burst of >= 2 bases), else faithful
+// copy.
 //
-// Transmit is the convenience wrapper over AppendTransmit: it borrows a
-// pooled arena, decodes the reference once, runs the append fast path and
-// materialises the immutable result Strand — the one allocation this path
-// cannot avoid. Callers that transmit the same reference repeatedly (a
-// cluster) should hold their own Scratch and call AppendTransmit directly,
-// as simulateCluster does; that path allocates nothing.
-func (m *Model) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	if ref.Len() == 0 {
-		return ref
-	}
-	scr := scratchPool.Get().(*Scratch)
-	scr.out = m.AppendTransmit(scr.out[:0], scr.RefBases(ref), r, scr)
-	s := dna.Strand(scr.out)
-	scratchPool.Put(scr)
-	return s
-}
-
-// AppendTransmit implements AppendTransmitter: the zero-allocation
-// transmit fast path. The reference arrives as 2-bit base codes (decode
-// once per cluster with Scratch.RefBases), the noisy read is appended to
-// dst as ASCII bytes, and all randomness flows through the arena's
-// batched RNG block — filled in bulk up front, then backstepped past the
-// unconsumed draws so the generator's stream position is exactly what
-// per-call draws would have left. The hot loop itself lives in
-// txPlan.appendTransmit (plan.go).
+// It is the zero-allocation transmit kernel. The reference arrives as
+// 2-bit base codes (decode once per cluster with Scratch.RefBases), the
+// noisy read is appended to dst as ASCII bytes, and all randomness flows
+// through the arena's batched RNG block — filled in bulk up front, then
+// backstepped past the unconsumed draws so the generator's stream
+// position is exactly what per-call draws would have left. The hot loop
+// itself lives in txPlan.appendTransmit (plan.go).
 //
 // Output bytes and draw accounting are identical to transmitReference (the
 // test oracle in model_ref_test.go) — the golden-seed and differential
@@ -233,7 +212,7 @@ func (m *Model) WithSecondOrder(errors []SecondOrderError) *Model {
 }
 
 // shallowCopy duplicates the model without its compiled-plan cache; the
-// copy compiles fresh plans on first Transmit.
+// copy compiles fresh plans on first AppendTransmit.
 func (m *Model) shallowCopy() *Model {
 	out := &Model{
 		Label:       m.Label,

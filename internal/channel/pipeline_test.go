@@ -27,7 +27,7 @@ func TestPipelineZeroStagesReturnsFreshStrand(t *testing.T) {
 		{Label: "empty"},
 		{Label: "pool-only", Stages: []Stage{NewPCRAmplification(30, 0, 0.02)}},
 	} {
-		out := p.Transmit(ref, r)
+		out := Transmit(p, ref, r)
 		if out != ref {
 			t.Fatalf("%s: identity pipeline altered the read", p.Label)
 		}
@@ -49,7 +49,7 @@ func TestPipelineZeroStagesReturnsFreshStrand(t *testing.T) {
 	}
 }
 
-// TestPipelineAppendParity: Pipeline.Transmit/AppendTransmit must match
+// TestPipelineAppendParity: Transmit and AppendTransmit must match
 // chaining the stages' reference transmitters by hand, draw for draw —
 // same bytes AND same RNG stream position afterwards. Covers both the
 // all-Model storage pipeline and the physical pipeline whose PCR and aging
@@ -67,7 +67,7 @@ func TestPipelineAppendParity(t *testing.T) {
 				seed := uint64(1000 + i)
 				rGot, rApp, rWant := rng.New(seed), rng.New(seed), rng.New(seed)
 
-				got := pipe.Transmit(ref, rGot)
+				got := Transmit(pipe, ref, rGot)
 
 				scr.out = pipe.AppendTransmit(scr.out[:0], scr.RefBases(ref), rApp, &scr)
 				app := string(scr.out)
@@ -88,52 +88,36 @@ func TestPipelineAppendParity(t *testing.T) {
 	}
 }
 
-// truncChannel is a Channel that is not an AppendTransmitter: pipelines
-// must route it through the allocating Strand fallback.
+// truncChannel is a Channel outside the Model family: it drops the last
+// base, consumes no draws and has no AggregateRate.
 type truncChannel struct{}
 
 func (truncChannel) Name() string { return "trunc" }
-func (truncChannel) Transmit(ref dna.Strand, _ *rng.RNG) dna.Strand {
-	if ref.Len() == 0 {
-		return ref
+func (truncChannel) AppendTransmit(dst []byte, ref []dna.Base, _ *rng.RNG, _ *Scratch) []byte {
+	if len(ref) == 0 {
+		return dst
 	}
-	return ref[:ref.Len()-1]
+	return dna.AppendLetters(dst, ref[:len(ref)-1])
 }
 
-// TestPipelineMixedStageFallback exercises a pipeline mixing fast-path
-// Models with a wrapped plain Channel: both Transmit and AppendTransmit
-// must agree with the hand-chained result.
-func TestPipelineMixedStageFallback(t *testing.T) {
+// TestPipelineMixedStages exercises a pipeline mixing Models with another
+// Channel: both Transmit and AppendTransmit must agree with the
+// hand-chained result.
+func TestPipelineMixedStages(t *testing.T) {
 	m := NewNaive("n", EqualMix(0.05))
-	pipe := Pipeline{Label: "mixed", Stages: []Stage{m, AsStage(truncChannel{})}}
+	pipe := Pipeline{Label: "mixed", Stages: []Stage{m, truncChannel{}}}
 
 	ref := dna.Strand(RandomReferences(1, 90, 47)[0])
 	r1, r2, r3 := rng.New(9), rng.New(9), rng.New(9)
 
-	got := pipe.Transmit(ref, r1)
+	got := Transmit(pipe, ref, r1)
 
 	var scr Scratch
 	app := string(pipe.AppendTransmit(nil, scr.RefBases(ref), r2, &scr))
 
-	want := truncChannel{}.Transmit(m.transmitReference(ref, r3), r3)
+	want := Transmit(truncChannel{}, m.transmitReference(ref, r3), r3)
 	if string(got) != string(want) || app != string(want) {
 		t.Errorf("mixed pipeline: Transmit=%q Append=%q want=%q", got, app, want)
-	}
-}
-
-// TestAsStage: channels that already are stages pass through untouched;
-// plain channels get wrapped with a faithful name.
-func TestAsStage(t *testing.T) {
-	m := NewNaive("m", EqualMix(0.01))
-	if AsStage(m) != Stage(m) {
-		t.Error("AsStage re-wrapped a *Model")
-	}
-	w := AsStage(truncChannel{})
-	if w.StageName() != "trunc" {
-		t.Errorf("wrapped stage name = %q", w.StageName())
-	}
-	if _, ok := w.(Channel); !ok {
-		t.Error("wrapped stage lost the Channel interface")
 	}
 }
 
@@ -150,7 +134,7 @@ func TestPipelineAggregateIncomplete(t *testing.T) {
 
 	partial := Pipeline{Stages: []Stage{
 		NewNaive("a", EqualMix(0.02)),
-		AsStage(truncChannel{}),
+		truncChannel{},
 	}}
 	rate, complete := partial.AggregateRate()
 	if complete {

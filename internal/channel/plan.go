@@ -11,7 +11,7 @@ import (
 
 // The compiled transmission plan.
 //
-// Model.Transmit is the innermost loop of every experiment: millions of
+// Model.AppendTransmit is the innermost loop of every experiment: millions of
 // calls per table, each visiting every reference position. The naive
 // implementation paid, per call, two mutex acquisitions (the spatial and
 // second-order multiplier caches) and, per position, two scans over the
@@ -64,7 +64,7 @@ import (
 // atomic.Pointer: readers never lock; a cache miss compiles a fresh plan
 // and installs it with a compare-and-swap, retrying (and discarding the
 // losing compile) on contention. Models must not be mutated after the
-// first Transmit — the same assumption the old mutex-guarded caches made.
+// first AppendTransmit — the same assumption the old mutex-guarded caches made.
 
 // drawGrid is the number of representable RNG.Float64 outputs: the draw
 // u = float64(x>>11) / 2^53 ranges over exactly the grid {k/2^53}.

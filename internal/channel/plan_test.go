@@ -27,7 +27,7 @@ import (
 func diffCheck(t *testing.T, label string, m *Model, ref dna.Strand, seed uint64) {
 	t.Helper()
 	r1, r2, r3 := rng.New(seed), rng.New(seed), rng.New(seed)
-	got := m.Transmit(ref, r1)
+	got := Transmit(m, ref, r1)
 	want := m.transmitReference(ref, r2)
 	if got != want {
 		t.Fatalf("%s: seed %d len %d: compiled output diverges\n got: %s\nwant: %s",
@@ -197,7 +197,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 				seed := uint64(g*1000 + rep)
 				ref := RandomReferences(1, length, seed)[0]
 				r1, r2 := rng.New(seed), rng.New(seed)
-				if got, want := m.Transmit(ref, r1), m.transmitReference(ref, r2); got != want {
+				if got, want := Transmit(m, ref, r1), m.transmitReference(ref, r2); got != want {
 					errs <- fmt.Errorf("goroutine %d rep %d len %d: output diverged", g, rep, length)
 					return
 				}
@@ -245,7 +245,7 @@ func TestSecondOrderRealizedRates(t *testing.T) {
 		r := rng.New(1)
 		subs := 0
 		for k := 0; k < reads; k++ {
-			out := m.Transmit(ref, r)
+			out := Transmit(m, ref, r)
 			subs += strings.Count(string(out), "G")
 		}
 		assertRate(t, "sub(A→G)", float64(subs)/positions, 0.05)
@@ -257,7 +257,7 @@ func TestSecondOrderRealizedRates(t *testing.T) {
 		r := rng.New(2)
 		deleted := 0
 		for k := 0; k < reads; k++ {
-			out := m.Transmit(ref, r)
+			out := Transmit(m, ref, r)
 			deleted += length - out.Len()
 		}
 		assertRate(t, "del(A)", float64(deleted)/positions, 0.04)
@@ -269,7 +269,7 @@ func TestSecondOrderRealizedRates(t *testing.T) {
 		r := rng.New(3)
 		inserted := 0
 		for k := 0; k < reads; k++ {
-			out := m.Transmit(ref, r)
+			out := Transmit(m, ref, r)
 			inserted += out.Len() - length
 		}
 		assertRate(t, "ins(T)", float64(inserted)/positions, 0.03)
@@ -286,7 +286,7 @@ func TestSecondOrderRealizedRates(t *testing.T) {
 		r := rng.New(4)
 		var c, g, deleted int
 		for k := 0; k < reads; k++ {
-			out := m.Transmit(ref, r)
+			out := Transmit(m, ref, r)
 			c += strings.Count(string(out), "C")
 			g += strings.Count(string(out), "G")
 			deleted += length - out.Len()

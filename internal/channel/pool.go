@@ -84,7 +84,7 @@ func (p pooledCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
 func (p pooledCoverage) Name() string {
 	names := make([]string, len(p.stages))
 	for i, st := range p.stages {
-		names[i] = st.StageName()
+		names[i] = st.Name()
 	}
 	return fmt.Sprintf("%s+pool(%s)", p.base.Name(), strings.Join(names, "→"))
 }
@@ -187,8 +187,8 @@ type GCBias struct {
 	Strength float64
 }
 
-// StageName implements Stage.
-func (g GCBias) StageName() string { return fmt.Sprintf("gcbias(%.1f)", g.Strength) }
+// Name implements Stage.
+func (g GCBias) Name() string { return fmt.Sprintf("gcbias(%.1f)", g.Strength) }
 
 // PoolCoverage implements PoolStage: binomial thinning at the strand's
 // survival probability. Without a reference the count passes through.

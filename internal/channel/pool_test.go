@@ -148,5 +148,5 @@ func TestPoolCoverageNeverNegative(t *testing.T) {
 
 type negPool struct{}
 
-func (negPool) StageName() string                                   { return "neg" }
+func (negPool) Name() string                                        { return "neg" }
 func (negPool) PoolCoverage(_ dna.Strand, _, _ int, _ *rng.RNG) int { return -3 }

@@ -7,14 +7,15 @@ import (
 	"dnastore/internal/rng"
 )
 
-// The zero-allocation transmit fast path. Transmit's original contract —
-// Strand in, Strand out — forces two costs per read that have nothing to
-// do with the channel model: decoding the reference's ASCII bytes into
-// base codes position by position, and allocating the output. Both
-// amortise naturally one level up: a cluster transmits the same reference
-// Coverage times, and a simulation worker can own one reusable arena for
-// its whole run. AppendTransmitter is the interface that exposes this;
-// Scratch is the arena.
+// The zero-allocation transmit kernel. A Strand-in, Strand-out contract
+// would force two costs per read that have nothing to do with the channel
+// model: decoding the reference's ASCII bytes into base codes position by
+// position, and allocating the output. Both amortise naturally one level
+// up: a cluster transmits the same reference Coverage times, and a
+// simulation worker can own one reusable arena for its whole run.
+// AppendTransmitter is the interface that exposes this, and every Channel
+// implements it; Scratch is the arena. Transmit is the one-read
+// convenience for callers with no arena of their own.
 
 // Scratch is a per-worker arena for the append-transmit fast path: the
 // reference's base-code view, the output buffer, and the batched RNG
@@ -44,13 +45,11 @@ func (sc *Scratch) RefBases(ref dna.Strand) []dna.Base {
 	return sc.refCodes
 }
 
-// AppendTransmitter is implemented by channels that can transmit without
-// per-read setup cost: ref arrives as base codes (decoded once per
-// cluster via Scratch.RefBases), the noisy read is appended to dst as
-// ASCII bases, and scr supplies the per-worker RNG batch buffer. The
-// output bytes and consumed RNG draws are identical, draw-for-draw, to
-// Transmit(Strand(ref), r) — the golden-seed and differential suites
-// enforce this — so callers may mix the two paths freely.
+// AppendTransmitter is the transmit kernel every Channel implements: ref
+// arrives as base codes (decoded once per cluster via Scratch.RefBases),
+// the noisy read is appended to dst as ASCII bases, and scr supplies the
+// per-worker RNG batch buffer. All randomness is drawn from r, so the
+// output is a pure function of ref and the RNG stream position.
 //
 // Implementations must not touch scr.out (callers pass slices aliasing
 // it as dst); dst is grown by append and returned.
@@ -58,7 +57,17 @@ type AppendTransmitter interface {
 	AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte
 }
 
-// scratchPool recycles arenas for callers of the plain Transmit API, which
-// has nowhere to keep one. Simulation workers hold a Scratch directly and
-// never touch the pool.
+// scratchPool recycles arenas for Transmit, which has nowhere to keep one.
+// Simulation workers hold a Scratch directly and never touch the pool.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Transmit produces one fresh noisy copy of ref through ch's kernel, in a
+// pooled arena. Callers that transmit one reference repeatedly (a cluster)
+// should hold a Scratch and call AppendTransmit, which allocates nothing.
+func Transmit(ch Channel, ref dna.Strand, r *rng.RNG) dna.Strand {
+	scr := scratchPool.Get().(*Scratch)
+	scr.out = ch.AppendTransmit(scr.out[:0], scr.RefBases(ref), r, scr)
+	s := dna.Strand(scr.out)
+	scratchPool.Put(scr)
+	return s
+}

@@ -132,7 +132,7 @@ func (s Simulator) Simulate(name string, refs []dna.Strand, seed uint64) *datase
 // between clusters: workers stop picking up new clusters once ctx is done,
 // and the partial dataset (completed clusters populated, the rest degraded
 // to zero reads) is returned together with a *SimulationError whose
-// Canceled field carries ctx.Err(). A panic inside Channel.Transmit or
+// Canceled field carries ctx.Err(). A panic inside Channel.AppendTransmit or
 // CoverageModel.Sample is confined to its cluster and surfaces as a
 // ClusterError instead of killing the process.
 //
@@ -211,13 +211,9 @@ func (s Simulator) SimulateRange(ctx context.Context, name string, refs []dna.St
 	// Output is unaffected: each cluster's RNG derives from (seed, index),
 	// never from which worker ran it.
 	//
-	// Channels that implement AppendTransmitter get the zero-allocation
-	// fast path: each worker owns one Scratch arena for its whole run, the
-	// reference is decoded to base codes once per cluster, and every read
-	// is generated into the reused output buffer. The interface contract
-	// guarantees byte- and draw-identical output, so the golden
-	// worker-invariance suite covers both paths with the same hashes.
-	at, _ := s.Channel.(AppendTransmitter)
+	// Each worker owns one Scratch arena for its whole run: the reference
+	// is decoded to base codes once per cluster, and every read is
+	// generated into the reused output buffer.
 	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -242,7 +238,7 @@ func (s Simulator) SimulateRange(ctx context.Context, name string, refs []dna.St
 						continue
 					}
 				}
-				if err := s.simulateCluster(ds, refs, gi, li, seed, at, &scr); err != nil {
+				if err := s.simulateCluster(ds, refs, gi, li, seed, &scr); err != nil {
 					mu.Lock()
 					clusterErrs = append(clusterErrs, ClusterError{Index: gi, Err: err})
 					mu.Unlock()
@@ -276,11 +272,8 @@ func (s Simulator) SimulateRange(ctx context.Context, name string, refs []dna.St
 
 // simulateCluster generates the reads of global cluster gi into dataset
 // slot li, converting a panic in the channel or coverage model into a
-// returned error. at is the channel's AppendTransmitter view (nil when
-// unsupported) and scr the calling worker's arena; the fast path decodes
-// the reference once and reuses the arena's output buffer across every
-// read in the cluster.
-func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, li int, seed uint64, at AppendTransmitter, scr *Scratch) (err error) {
+// returned error. scr is the calling worker's arena.
+func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, li int, seed uint64, scr *Scratch) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -291,34 +284,26 @@ func (s Simulator) simulateCluster(ds *dataset.Dataset, refs []dna.Strand, gi, l
 	// the cluster was simulated in.
 	r := rng.New(seed ^ (0x9e3779b97f4a7c15 * uint64(gi+1)))
 	n := SampleFor(s.Coverage, refs[gi], gi, r)
-	var reads []dna.Strand
-	if at != nil {
-		// Fast path: decode the reference once, generate every read into
-		// the arena's single output buffer recording where each one ends,
-		// then materialise the whole cluster as ONE immutable string and
-		// slice the per-read Strands out of it. Strand slicing shares the
-		// backing array, so the cluster costs two allocations (blob +
-		// reads slice) instead of one per read — and the reads end up
-		// contiguous in memory, which downstream alignment scans reward.
-		codes := scr.RefBases(refs[gi])
-		scr.out = scr.out[:0]
-		scr.ends = scr.ends[:0]
-		for k := 0; k < n; k++ {
-			scr.out = at.AppendTransmit(scr.out, codes, r, scr)
-			scr.ends = append(scr.ends, len(scr.out))
-		}
-		blob := dna.Strand(scr.out)
-		reads = make([]dna.Strand, n)
-		prev := 0
-		for k, end := range scr.ends {
-			reads[k] = blob[prev:end]
-			prev = end
-		}
-	} else {
-		reads = make([]dna.Strand, 0, n)
-		for k := 0; k < n; k++ {
-			reads = append(reads, s.Channel.Transmit(refs[gi], r))
-		}
+	// Decode the reference once, generate every read into the arena's
+	// single output buffer recording where each one ends, then materialise
+	// the whole cluster as ONE immutable string and slice the per-read
+	// Strands out of it. Strand slicing shares the backing array, so the
+	// cluster costs two allocations (blob + reads slice) instead of one
+	// per read — and the reads end up contiguous in memory, which
+	// downstream alignment scans reward.
+	codes := scr.RefBases(refs[gi])
+	scr.out = scr.out[:0]
+	scr.ends = scr.ends[:0]
+	for k := 0; k < n; k++ {
+		scr.out = s.Channel.AppendTransmit(scr.out, codes, r, scr)
+		scr.ends = append(scr.ends, len(scr.out))
+	}
+	blob := dna.Strand(scr.out)
+	reads := make([]dna.Strand, n)
+	prev := 0
+	for k, end := range scr.ends {
+		reads[k] = blob[prev:end]
+		prev = end
 	}
 	ds.Clusters[li] = dataset.Cluster{Ref: refs[gi], Reads: reads}
 	return nil

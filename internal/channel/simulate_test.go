@@ -23,7 +23,7 @@ func TestDNASimulatorBasics(t *testing.T) {
 	}
 	r := rng.New(1)
 	ref := dna.Strand(RandomReferences(1, 110, 1)[0])
-	read := s.Transmit(ref, r)
+	read := Transmit(s, ref, r)
 	if err := read.Validate(); err != nil {
 		t.Fatalf("invalid read: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestDNASimulatorErrorFree(t *testing.T) {
 	s := NewDNASimulator("clean", BaseErrorRates{})
 	r := rng.New(2)
 	ref := dna.Strand("ACGTACGT")
-	if got := s.Transmit(ref, r); got != ref {
+	if got := Transmit(s, ref, r); got != ref {
 		t.Errorf("error-free DNASimulator perturbed strand")
 	}
 }
@@ -43,13 +43,13 @@ func TestDNASimulatorLongDeletionBurst(t *testing.T) {
 	s.LongDelLen = 3
 	r := rng.New(3)
 	ref := dna.Strand("ACGTACGTACGT") // 12 bases; every position starts a burst
-	read := s.Transmit(ref, r)
+	read := Transmit(s, ref, r)
 	if read.Len() != 0 {
 		t.Errorf("always-long-del left %d bases", read.Len())
 	}
 	// Default burst length when unset must be >= 2.
 	s2 := &DNASimulator{Errors: [dna.NumBases]BaseErrorRates{{LongDel: 1}, {LongDel: 1}, {LongDel: 1}, {LongDel: 1}}}
-	read2 := s2.Transmit("AAAA", r)
+	read2 := Transmit(s2, "AAAA", r)
 	if read2.Len() != 0 {
 		t.Errorf("zero-config burst left %q", read2)
 	}
@@ -61,7 +61,7 @@ func TestDNASimulatorSubstitutionCanKeepBase(t *testing.T) {
 	s := NewDNASimulator("sub", BaseErrorRates{Sub: 1})
 	r := rng.New(4)
 	ref := dna.Repeat(dna.A, 4000)
-	read := s.Transmit(ref, r)
+	read := Transmit(s, ref, r)
 	kept := 0
 	for i := 0; i < read.Len(); i++ {
 		if read.At(i) == dna.A {
@@ -192,11 +192,11 @@ func TestSimulatorPanicsWithoutParts(t *testing.T) {
 // a stand-in for a buggy channel implementation.
 type panicOnRefChannel struct{ trigger dna.Strand }
 
-func (p panicOnRefChannel) Transmit(ref dna.Strand, _ *rng.RNG) dna.Strand {
-	if ref == p.trigger {
+func (p panicOnRefChannel) AppendTransmit(dst []byte, ref []dna.Base, _ *rng.RNG, _ *Scratch) []byte {
+	if sameStrand(p.trigger, ref) {
 		panic("injected channel fault")
 	}
-	return ref
+	return dna.AppendLetters(dst, ref)
 }
 
 func (p panicOnRefChannel) Name() string { return "panic-on-ref" }
@@ -252,11 +252,11 @@ type cancelingChannel struct {
 	calls  *atomic.Int64
 }
 
-func (c cancelingChannel) Transmit(ref dna.Strand, _ *rng.RNG) dna.Strand {
+func (c cancelingChannel) AppendTransmit(dst []byte, ref []dna.Base, _ *rng.RNG, _ *Scratch) []byte {
 	if c.calls.Add(1) == 1 {
 		c.cancel()
 	}
-	return ref
+	return dna.AppendLetters(dst, ref)
 }
 
 func (c cancelingChannel) Name() string { return "canceling" }

@@ -8,14 +8,12 @@ import (
 	"dnastore/internal/rng"
 )
 
-// Stage is one physical step of the storage channel. Stages come in two
-// shapes, selected by interface:
+// Stage is one physical step of the storage channel: anything with a
+// Name. Stages come in two shapes, selected by interface:
 //
 //   - per-strand error stages implement Channel: they perturb individual
-//     reads (synthesis errors, sequencing noise). Stages that also
-//     implement AppendTransmitter run on the zero-allocation kernel, and
-//     the pipeline keeps draw-for-draw parity with chaining the stages'
-//     Transmit calls by hand.
+//     reads (synthesis errors, sequencing noise, chimeras) on the
+//     zero-allocation kernel, each stage's output feeding the next.
 //   - pool stages implement PoolStage (pool.go): they transform the
 //     cluster population before any read is generated — PCR amplification
 //     skew, strand breakage, decay dropout — by rewriting the cluster's
@@ -25,27 +23,9 @@ import (
 // per-cycle substitutions to every strand and lognormal amplification
 // skew to the pool.
 type Stage interface {
-	// StageName identifies the stage in pipeline names and tables.
-	StageName() string
+	// Name identifies the stage in pipeline names and tables.
+	Name() string
 }
-
-// AsStage adapts an arbitrary Channel into a per-strand Stage. Channels
-// that already implement Stage (every *Model does) are returned as-is;
-// anything else is wrapped and takes the allocating Transmit path inside
-// pipelines.
-func AsStage(ch Channel) Stage {
-	if s, ok := ch.(Stage); ok {
-		return s
-	}
-	return strandStage{ch}
-}
-
-// strandStage adapts a plain Channel; only Channel's methods are
-// promoted, so wrapped channels never reach the append fast path.
-type strandStage struct{ Channel }
-
-// StageName implements Stage.
-func (s strandStage) StageName() string { return s.Channel.Name() }
 
 // Pipeline composes stages in physical order: the output of strand stage
 // k is the input of strand stage k+1, and pool stages rewrite the
@@ -55,10 +35,8 @@ func (s strandStage) StageName() string { return s.Channel.Name() }
 // physical step (synthesis → PCR → storage → sequencing) instead of a
 // single aggregate error pass.
 //
-// Pipeline implements Channel and AppendTransmitter; Transmit always
-// returns a strand with fresh backing, never an alias of the caller's
-// reference — even with zero strand stages, where the pipeline is the
-// identity channel.
+// Pipeline implements Channel. With zero strand stages it is the identity
+// channel.
 type Pipeline struct {
 	// Label names the pipeline in tables.
 	Label string
@@ -73,34 +51,17 @@ func (p Pipeline) Name() string {
 	}
 	names := make([]string, len(p.Stages))
 	for i, s := range p.Stages {
-		names[i] = s.StageName()
+		names[i] = s.Name()
 	}
 	return strings.Join(names, "→")
 }
 
-// Transmit implements Channel: the reference flows through every strand
-// stage in order, all randomness drawn from r in stage order. Like
-// Model.Transmit it is the pooled-arena wrapper over AppendTransmit, so
-// output bytes and RNG draw accounting are identical on both paths.
-func (p Pipeline) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	if ref.Len() == 0 {
-		return ref
-	}
-	scr := scratchPool.Get().(*Scratch)
-	scr.out = p.AppendTransmit(scr.out[:0], scr.RefBases(ref), r, scr)
-	s := dna.Strand(scr.out)
-	scratchPool.Put(scr)
-	return s
-}
-
-// AppendTransmit implements AppendTransmitter end to end: stage k's
-// output bytes are decoded into the arena's staging buffer and fed to
-// stage k+1, with only the final stage appending into the caller's dst —
-// the double-buffered hot path, 0 allocs/op once the arena is warm.
-// Stages implementing AppendTransmitter run the zero-alloc kernel;
-// wrapped channels fall back to the Strand API (allocating, but byte-
-// and draw-identical). With zero strand stages the reference is copied
-// into dst faithfully — never aliased.
+// AppendTransmit implements Channel: the reference flows through every
+// strand stage in order, all randomness drawn from r in stage order.
+// Stage k's output bytes are decoded into the arena's staging buffer and
+// fed to stage k+1, with only the final stage appending into the caller's
+// dst — the double-buffered hot path, 0 allocs/op once the arena is warm.
+// With zero strand stages the reference is copied into dst faithfully.
 func (p Pipeline) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
 	// Count the strand stages so the last one can append straight into
 	// dst; a slice of them here would put an allocation on the hot path.
@@ -122,31 +83,17 @@ func (p Pipeline) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Sc
 		}
 		k++
 		if k == n {
-			return appendStageTransmit(ch, dst, codes, r, scr)
+			return ch.AppendTransmit(dst, codes, r, scr)
 		}
 		// Intermediate stage: write into the staging buffer, then decode
 		// to base codes before the buffer is reused — an empty output
 		// (total deletion) flows through as an empty reference, which
-		// downstream stages pass unchanged without consuming draws,
-		// exactly as their Transmit would.
-		scr.stageOut = appendStageTransmit(ch, scr.stageOut[:0], codes, r, scr)
+		// downstream Model stages pass unchanged without consuming draws.
+		scr.stageOut = ch.AppendTransmit(scr.stageOut[:0], codes, r, scr)
 		scr.stageCodes = appendBaseCodes(scr.stageCodes[:0], scr.stageOut)
 		codes = scr.stageCodes
 	}
 	return dst // unreachable: the k == n branch always returns
-}
-
-// appendStageTransmit transmits codes through one strand stage, appending
-// the result to dst.
-func appendStageTransmit(ch Channel, dst []byte, codes []dna.Base, r *rng.RNG, scr *Scratch) []byte {
-	if at, ok := ch.(AppendTransmitter); ok {
-		return at.AppendTransmit(dst, codes, r, scr)
-	}
-	if len(codes) == 0 {
-		return dst
-	}
-	out := ch.Transmit(dna.Strand(dna.AppendLetters(nil, codes)), r)
-	return append(dst, string(out)...)
 }
 
 // appendBaseCodes decodes ASCII base letters back into 2-bit codes. The
@@ -303,7 +250,7 @@ func NewStoragePipeline(label string, totalRate float64, storageYears float64) P
 // effects Heckel et al.'s channel characterization says dominate real
 // pools — lognormal PCR amplification skew and age-dependent strand
 // breakage. Bind the pool effects with BindCoverage; the per-strand
-// stages work through the usual Channel/AppendTransmitter path.
+// stages run on the usual Channel kernel.
 func NewPhysicalPipeline(label string, totalRate, storageYears float64) Pipeline {
 	seqRate := 0.70 * totalRate
 	synthRate := 0.20 * totalRate

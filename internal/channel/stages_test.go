@@ -45,7 +45,7 @@ func TestPipelineComposes(t *testing.T) {
 	}
 	r := rng.New(1)
 	ref := dna.Strand(RandomReferences(1, 100, 1)[0])
-	read := p.Transmit(ref, r)
+	read := Transmit(p, ref, r)
 	if err := read.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestPipelineEquivalentToSinglePassAtAggregate(t *testing.T) {
 	single := NewNaive("s", EqualMix(0.06))
 	dPipe, dSingle := 0, 0
 	for _, ref := range refs {
-		dPipe += align.Distance(string(ref), string(pipe.Transmit(ref, r1)))
-		dSingle += align.Distance(string(ref), string(single.Transmit(ref, r2)))
+		dPipe += align.Distance(string(ref), string(Transmit(pipe, ref, r1)))
+		dSingle += align.Distance(string(ref), string(Transmit(single, ref, r2)))
 	}
 	ratio := float64(dPipe) / float64(dSingle)
 	if math.Abs(ratio-1) > 0.08 {
@@ -123,7 +123,7 @@ func TestStageConstructors(t *testing.T) {
 	}
 
 	seq := NewSequencingStage(NanoporeMix(0.04), PaperLongDeletion(), nil)
-	read := seq.Transmit(ref, r)
+	read := Transmit(seq, ref, r)
 	if err := read.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestStageConstructors(t *testing.T) {
 	if agg < 0.055 || agg > 0.07 {
 		t.Errorf("full pipeline aggregate = %v, want ≈0.059", agg)
 	}
-	out := full.Transmit(ref, r)
+	out := Transmit(full, ref, r)
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestStoragePipelineEmpiricalRate(t *testing.T) {
 	r := rng.New(7)
 	totalDist, totalBases := 0, 0
 	for _, ref := range refs {
-		read := full.Transmit(ref, r)
+		read := Transmit(full, ref, r)
 		totalDist += align.Distance(string(ref), string(read))
 		totalBases += ref.Len()
 	}

@@ -93,7 +93,7 @@ func TestStageListBuild(t *testing.T) {
 
 	// The built pipeline transmits.
 	ref := RandomReferences(1, 110, 3)[0]
-	if err := pipe.Transmit(ref, rng.New(5)).Validate(); err != nil {
+	if err := Transmit(pipe, ref, rng.New(5)).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,7 +111,7 @@ func TestStageListBuildMatchesPhysicalPipeline(t *testing.T) {
 	got := list.Build("p")
 	ref := RandomReferences(1, 110, 7)[0]
 	r1, r2 := rng.New(9), rng.New(9)
-	a, b := want.Transmit(ref, r1), got.Transmit(ref, r2)
+	a, b := Transmit(want, ref, r1), Transmit(got, ref, r2)
 	if a != b {
 		t.Errorf("DSL pipeline output differs from constructor:\n%q\n%q", a, b)
 	}
@@ -143,7 +143,7 @@ func FuzzParseStages(f *testing.F) {
 		}
 		pipe := list.Build("fuzz")
 		ref := RandomReferences(1, 40, 1)[0]
-		if err := pipe.Transmit(ref, rng.New(1)).Validate(); err != nil {
+		if err := Transmit(pipe, ref, rng.New(1)).Validate(); err != nil {
 			t.Fatalf("built pipeline emits invalid reads: %v", err)
 		}
 	})

@@ -20,7 +20,7 @@ import (
 // byte for byte. That property is what lets the dnasimd chaos drill
 // assert "supervised retries converge to the sequential result".
 
-// FlakyPanic panics inside Transmit while *Remaining is positive
+// FlakyPanic panics inside AppendTransmit while *Remaining is positive
 // (decrementing it per call), then delegates untouched. SimulateCtx
 // confines each panic to its cluster, so the first few clusters fail,
 // the supervisor retries the job, and the retry — the fault budget now
@@ -28,22 +28,23 @@ import (
 type FlakyPanic struct {
 	// Base produces reads once the fault budget is spent.
 	Base channel.Channel
-	// Remaining is the shared number of Transmit calls left to sabotage.
+	// Remaining is the shared number of AppendTransmit calls left to
+	// sabotage.
 	Remaining *atomic.Int64
 }
 
-// Transmit implements channel.Channel.
-func (f FlakyPanic) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+// AppendTransmit implements channel.Channel.
+func (f FlakyPanic) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
 	if f.Remaining.Add(-1) >= 0 {
 		panic("faults: injected transient panic")
 	}
-	return f.Base.Transmit(ref, r)
+	return f.Base.AppendTransmit(dst, ref, r, scr)
 }
 
 // Name implements channel.Channel.
 func (f FlakyPanic) Name() string { return f.Base.Name() + "+flakypanic" }
 
-// Stall blocks Transmit on Release while *Remaining is positive
+// Stall blocks AppendTransmit on Release while *Remaining is positive
 // (decrementing per call), modelling a hung I/O dependency: the goroutine
 // makes no progress and cannot be preempted, exactly the failure a stall
 // watchdog exists to catch. The test closes Release to let the abandoned
@@ -54,22 +55,23 @@ type Stall struct {
 	Base channel.Channel
 	// Release unblocks every stalled call when closed.
 	Release <-chan struct{}
-	// Remaining is the shared number of Transmit calls left to stall.
+	// Remaining is the shared number of AppendTransmit calls left to
+	// stall.
 	Remaining *atomic.Int64
 }
 
-// Transmit implements channel.Channel.
-func (s Stall) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+// AppendTransmit implements channel.Channel.
+func (s Stall) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
 	if s.Remaining.Add(-1) >= 0 {
 		<-s.Release
 	}
-	return s.Base.Transmit(ref, r)
+	return s.Base.AppendTransmit(dst, ref, r, scr)
 }
 
 // Name implements channel.Channel.
 func (s Stall) Name() string { return s.Base.Name() + "+stall" }
 
-// SlowChannel sleeps Delay before every Transmit — a healthy but slow
+// SlowChannel sleeps Delay before every AppendTransmit — a healthy but slow
 // channel, used by drain drills that need a job to still be mid-flight
 // when the shutdown signal lands. Output is byte-identical to Base.
 type SlowChannel struct {
@@ -79,10 +81,10 @@ type SlowChannel struct {
 	Delay time.Duration
 }
 
-// Transmit implements channel.Channel.
-func (s SlowChannel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+// AppendTransmit implements channel.Channel.
+func (s SlowChannel) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
 	time.Sleep(s.Delay)
-	return s.Base.Transmit(ref, r)
+	return s.Base.AppendTransmit(dst, ref, r, scr)
 }
 
 // Name implements channel.Channel.

@@ -66,25 +66,28 @@ type ReadTruncation struct {
 	MinFrac float64
 }
 
-// Transmit implements channel.Channel.
-func (t ReadTruncation) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
-	read := t.Base.Transmit(ref, r)
-	if !r.Bool(t.P) || read.Len() < 2 {
-		return read
+// AppendTransmit implements channel.Channel: the base read is appended to
+// dst, then cut back in place.
+func (t ReadTruncation) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
+	start := len(dst)
+	dst = t.Base.AppendTransmit(dst, ref, r, scr)
+	readLen := len(dst) - start
+	if !r.Bool(t.P) || readLen < 2 {
+		return dst
 	}
 	minFrac := t.MinFrac
 	if minFrac <= 0 || minFrac >= 1 {
 		minFrac = 0.2
 	}
 	frac := minFrac + r.Float64()*(1-minFrac)
-	n := int(frac * float64(read.Len()))
+	n := int(frac * float64(readLen))
 	if n < 1 {
 		n = 1
 	}
-	if n >= read.Len() {
-		return read
+	if n >= readLen {
+		return dst
 	}
-	return read[:n]
+	return dst[:start+n]
 }
 
 // Name implements channel.Channel.
@@ -103,24 +106,27 @@ type ContaminationSpike struct {
 	P float64
 }
 
-// Transmit implements channel.Channel.
-func (c ContaminationSpike) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+// AppendTransmit implements channel.Channel: alien bases are appended to
+// dst, after the kept prefix of the base read on the chimeric branch.
+func (c ContaminationSpike) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
 	if !r.Bool(c.P) {
-		return c.Base.Transmit(ref, r)
+		return c.Base.AppendTransmit(dst, ref, r, scr)
 	}
-	n := ref.Len()
+	n := len(ref)
 	if n < 2 {
 		n = 2
 	}
 	if r.Bool(0.5) {
-		return randomStrand(n, r)
+		return appendRandom(dst, n, r)
 	}
-	read := c.Base.Transmit(ref, r)
-	if read.Len() < 2 {
-		return randomStrand(n, r)
+	start := len(dst)
+	dst = c.Base.AppendTransmit(dst, ref, r, scr)
+	readLen := len(dst) - start
+	if readLen < 2 {
+		return appendRandom(dst[:start], n, r)
 	}
-	cut := 1 + r.Intn(read.Len()-1)
-	return read[:cut] + randomStrand(read.Len()-cut, r)
+	cut := 1 + r.Intn(readLen-1)
+	return appendRandom(dst[:start+cut], readLen-cut, r)
 }
 
 // Name implements channel.Channel.
@@ -128,11 +134,10 @@ func (c ContaminationSpike) Name() string {
 	return fmt.Sprintf("%s+contam(%.3f)", c.Base.Name(), c.P)
 }
 
-// randomStrand draws n uniform bases.
-func randomStrand(n int, r *rng.RNG) dna.Strand {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = dna.Base(r.Intn(dna.NumBases)).Byte()
+// appendRandom appends n uniform bases to dst.
+func appendRandom(dst []byte, n int, r *rng.RNG) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, dna.Base(r.Intn(dna.NumBases)).Byte())
 	}
-	return dna.Strand(buf)
+	return dst
 }

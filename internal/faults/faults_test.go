@@ -146,7 +146,7 @@ func TestReadTruncation(t *testing.T) {
 	ref := channel.RandomReferences(1, 100, 9)[0]
 	r := rng.New(5)
 	for i := 0; i < 200; i++ {
-		read := tr.Transmit(ref, r)
+		read := channel.Transmit(tr, ref, r)
 		if read.Len() >= ref.Len() {
 			t.Fatalf("read %d not truncated: len %d", i, read.Len())
 		}
@@ -159,7 +159,7 @@ func TestReadTruncation(t *testing.T) {
 	}
 	// P=0 leaves reads alone.
 	none := ReadTruncation{Base: clean, P: 0}
-	if got := none.Transmit(ref, r); got != ref {
+	if got := channel.Transmit(none, ref, r); got != ref {
 		t.Error("P=0 truncation modified the read")
 	}
 }
@@ -172,7 +172,7 @@ func TestContaminationSpike(t *testing.T) {
 	const n = 4000
 	contaminated := 0
 	for i := 0; i < n; i++ {
-		read := cs.Transmit(ref, r)
+		read := channel.Transmit(cs, ref, r)
 		if err := read.Validate(); err != nil {
 			t.Fatalf("contaminated read invalid: %v", err)
 		}

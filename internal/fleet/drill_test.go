@@ -36,12 +36,12 @@ type pacedChannel struct {
 	n       *atomic.Int64
 }
 
-func (p pacedChannel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+func (p pacedChannel) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
 	p.n.Add(1)
 	if d := p.delayNS.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	return p.Channel.Transmit(ref, r)
+	return p.Channel.AppendTransmit(dst, ref, r, scr)
 }
 
 type drillWorker struct {

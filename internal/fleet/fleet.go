@@ -83,9 +83,6 @@ type Config struct {
 	// DrainGrace bounds how long Drain waits for in-flight jobs to finish
 	// or park before sealing the ledger (default 10s).
 	DrainGrace time.Duration
-	// LedgerKeep bounds how many terminal job ledgers are retained for
-	// replay/audit before FIFO pruning (default 512).
-	LedgerKeep int
 	// ProbeInterval is the /readyz health-probe cadence (default 1s;
 	// negative disables probing — breakers alone then gate placement).
 	ProbeInterval time.Duration
@@ -181,7 +178,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.DataDir != "" {
 		var err error
-		if c.ledger, err = openLedgerStore(filepath.Join(cfg.DataDir, "ledger"), cfg.LedgerKeep, c.slog); err != nil {
+		if c.ledger, err = openLedgerStore(filepath.Join(cfg.DataDir, "ledger"), c.slog); err != nil {
 			return nil, err
 		}
 		if c.spill, err = openSpillStore(filepath.Join(cfg.DataDir, "spill"), cfg.SpillBytes, c.slog); err != nil {

@@ -131,25 +131,25 @@ type ledgerRecord struct {
 	led      *jobLedger // open for append: re-adoption continues the file
 }
 
+// ledgerKeep bounds how many terminal job ledgers are retained for
+// replay/audit before FIFO pruning.
+const ledgerKeep = 512
+
 // ledgerStore owns the ledger directory: create-on-admit, replay-on-boot,
 // and FIFO pruning of terminal job ledgers.
 type ledgerStore struct {
 	dir  string
-	keep int
 	slog *slog.Logger
 
 	mu      sync.Mutex
 	retired []string // terminal ledger paths, oldest first
 }
 
-func openLedgerStore(dir string, keep int, logger *slog.Logger) (*ledgerStore, error) {
+func openLedgerStore(dir string, logger *slog.Logger) (*ledgerStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: ledger dir: %w", err)
 	}
-	if keep <= 0 {
-		keep = 512
-	}
-	return &ledgerStore{dir: dir, keep: keep, slog: logger}, nil
+	return &ledgerStore{dir: dir, slog: logger}, nil
 }
 
 // ledgerFileName names a job's ledger by spec fingerprint plus job ID; the
@@ -252,7 +252,7 @@ func (s *ledgerStore) replayOne(path string) (*ledgerRecord, bool) {
 }
 
 // retire registers a terminal job's ledger for FIFO pruning and deletes
-// the oldest retirees beyond the keep budget.
+// the oldest retirees beyond ledgerKeep.
 func (s *ledgerStore) retire(path string) {
 	if s == nil || path == "" {
 		return
@@ -260,7 +260,7 @@ func (s *ledgerStore) retire(path string) {
 	s.mu.Lock()
 	s.retired = append(s.retired, path)
 	var drop []string
-	if n := len(s.retired) - s.keep; n > 0 {
+	if n := len(s.retired) - ledgerKeep; n > 0 {
 		drop = append(drop, s.retired[:n]...)
 		s.retired = append(s.retired[:0], s.retired[n:]...)
 	}

@@ -66,7 +66,7 @@ func TestCacheEvictionCounter(t *testing.T) {
 // finished jobs with their last verdict.
 func TestLedgerReplayStates(t *testing.T) {
 	dir := t.TempDir()
-	store, err := openLedgerStore(dir, 0, obs.Discard())
+	store, err := openLedgerStore(dir, obs.Discard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestLedgerReplayStates(t *testing.T) {
 // — never half-adopted.
 func TestLedgerTornTail(t *testing.T) {
 	dir := t.TempDir()
-	store, err := openLedgerStore(dir, 0, obs.Discard())
+	store, err := openLedgerStore(dir, obs.Discard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,32 @@ func TestLedgerTornTail(t *testing.T) {
 	}
 	if _, err := os.Stat(led.path); !os.IsNotExist(err) {
 		t.Error("ledger torn before its accepted frame was not deleted")
+	}
+}
+
+// TestLedgerRetirePrunesOldest: retiring one ledger past ledgerKeep
+// deletes the oldest retiree and leaves every later one on disk.
+func TestLedgerRetirePrunesOldest(t *testing.T) {
+	dir := t.TempDir()
+	store, err := openLedgerStore(dir, obs.Discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, ledgerKeep+1)
+	for i := range paths {
+		paths[i] = filepath.Join(dir, ledgerFileName(uint64(i), "f"+strconv.Itoa(i)))
+		if err := os.WriteFile(paths[i], nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store.retire(paths[i])
+	}
+	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
+		t.Errorf("oldest retired ledger survived pruning: %v", err)
+	}
+	for _, p := range paths[1:] {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("ledger within the keep budget was pruned: %v", err)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func TestStagedPipelineCalibration(t *testing.T) {
 	}
 
 	ref := channel.RandomReferences(1, 110, 5)[0]
-	if err := pipe.Transmit(ref, rng.New(7)).Validate(); err != nil {
+	if err := channel.Transmit(pipe, ref, rng.New(7)).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

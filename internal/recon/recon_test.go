@@ -58,7 +58,7 @@ func TestOutputLengthNearDesignLength(t *testing.T) {
 	for _, ref := range refs {
 		cluster := make([]dna.Strand, 5)
 		for k := range cluster {
-			cluster[k] = m.Transmit(ref, r)
+			cluster[k] = channel.Transmit(m, ref, r)
 		}
 		for _, alg := range allAlgorithms() {
 			got := alg.Reconstruct(cluster, 110)

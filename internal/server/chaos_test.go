@@ -275,16 +275,16 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// countingChannel counts Transmit calls without consuming RNG or touching
+// countingChannel counts transmit calls without consuming RNG or touching
 // output — evidence of how much work an attempt actually did.
 type countingChannel struct {
 	base  channel.Channel
 	calls *atomic.Int64
 }
 
-func (c countingChannel) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+func (c countingChannel) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *channel.Scratch) []byte {
 	c.calls.Add(1)
-	return c.base.Transmit(ref, r)
+	return c.base.AppendTransmit(dst, ref, r, scr)
 }
 func (c countingChannel) Name() string { return c.base.Name() }
 

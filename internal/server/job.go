@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,9 +117,24 @@ func (sp *SimulateSpec) ShardRange() (first, count int) {
 	return 0, sp.NumClusters()
 }
 
+// maxWork bounds the read bases one job may generate, its reference bases
+// times max(coverage, 1): far past every spec the load and benchmark tools
+// submit, where the per-factor limits alone admit 2^36 reference bases.
+const maxWork = 1 << 30
+
+// checkWork rejects work over maxWork, and NaN coverage.
+func checkWork(bases int, coverage float64) error {
+	if w := float64(bases) * math.Max(coverage, 1); !(w <= maxWork) {
+		return fmt.Errorf("spec too large: %d reference bases at coverage %g exceed %d read bases", bases, coverage, maxWork)
+	}
+	return nil
+}
+
 // Validate checks the spec and applies defaults.
 func (sp *SimulateSpec) Validate() error {
+	bases := 0
 	if len(sp.Refs) == 0 {
+		bases = sp.NumRefs * sp.RefLen
 		if sp.NumRefs <= 0 || sp.RefLen <= 0 {
 			return errors.New("simulate spec needs refs or num_refs+ref_len")
 		}
@@ -130,6 +146,7 @@ func (sp *SimulateSpec) Validate() error {
 		if err := dna.Strand(r).Validate(); err != nil {
 			return fmt.Errorf("invalid reference: %w", err)
 		}
+		bases += len(r)
 	}
 	rates := channel.Rates{Sub: sp.Sub, Ins: sp.Ins, Del: sp.Del}
 	if err := rates.Validate(); err != nil {
@@ -145,6 +162,9 @@ func (sp *SimulateSpec) Validate() error {
 	}
 	if sp.Coverage <= 0 {
 		sp.Coverage = 6
+	}
+	if err := checkWork(bases, sp.Coverage); err != nil {
+		return err
 	}
 	if _, err := channel.CoverageByName(sp.CoverageModel, sp.Coverage); err != nil {
 		return err
@@ -260,6 +280,11 @@ func (sp *RetrieveSpec) Validate() error {
 	}
 	if sp.Coverage <= 0 {
 		sp.Coverage = 14
+	}
+	// The pool's size is only known once the job loads it, so admission
+	// bounds the coverage as if the pool held a single base.
+	if err := checkWork(1, sp.Coverage); err != nil {
+		return err
 	}
 	if sp.Retries < 0 {
 		return fmt.Errorf("retries %d negative", sp.Retries)

@@ -353,10 +353,10 @@ func TestAttemptCapFailsJob(t *testing.T) {
 	}
 }
 
-// panicAlways panics on every Transmit — a permanently broken channel.
+// panicAlways panics on every transmit — a permanently broken channel.
 type panicAlways struct{ base channel.Channel }
 
-func (p panicAlways) Transmit(ref dna.Strand, r *rng.RNG) dna.Strand {
+func (p panicAlways) AppendTransmit([]byte, []dna.Base, *rng.RNG, *channel.Scratch) []byte {
 	panic("server_test: permanently broken channel")
 }
 func (p panicAlways) Name() string { return p.base.Name() + "+panic" }

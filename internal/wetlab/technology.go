@@ -115,7 +115,7 @@ func (t Technology) PhysicalPipeline(storageYears float64) channel.Pipeline {
 			channel.NewSynthesisStage(0.20 * total),
 			channel.NewPCRAmplification(30, pcrRate/30, channel.DefaultPCREfficiencySD),
 			channel.NewAgingStage(storageYears, decayPerYear, channel.DefaultBreakagePerYear),
-			channel.AsStage(t.SequencingModel()),
+			t.SequencingModel(),
 		},
 	}
 }

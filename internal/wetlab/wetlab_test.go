@@ -54,7 +54,7 @@ func TestGroundTruthAggregateRate(t *testing.T) {
 	r := rng.New(4)
 	totalDist, totalBases := 0, 0
 	for _, ref := range refs {
-		read := m.Transmit(ref, r)
+		read := channel.Transmit(m, ref, r)
 		totalDist += align.Distance(string(ref), string(read))
 		totalBases += ref.Len()
 	}
@@ -72,7 +72,7 @@ func TestGroundTruthTerminalSkew(t *testing.T) {
 	counts := make([]int, 111)
 	const n = 30000
 	for i := 0; i < n; i++ {
-		read := m.Transmit(ref, r)
+		read := channel.Transmit(m, ref, r)
 		for _, p := range align.GestaltErrorPositions(string(ref), string(read)) {
 			if p > 110 {
 				p = 110 // reads longer than the reference spill into the last bin
@@ -191,7 +191,7 @@ func TestSequencingModels(t *testing.T) {
 	ref := channel.RandomReferences(1, 110, 9)[0]
 	for _, tech := range Technologies() {
 		m := tech.SequencingModel()
-		read := m.Transmit(ref, r)
+		read := channel.Transmit(m, ref, r)
 		if err := read.Validate(); err != nil {
 			t.Errorf("%s: %v", tech.Name, err)
 		}
@@ -206,8 +206,8 @@ func TestSequencingModels(t *testing.T) {
 	refs := channel.RandomReferences(100, 110, 10)
 	sm, nm := sanger.SequencingModel(), nano.SequencingModel()
 	for _, ref := range refs {
-		sd += align.Distance(string(ref), string(sm.Transmit(ref, r)))
-		nd += align.Distance(string(ref), string(nm.Transmit(ref, r)))
+		sd += align.Distance(string(ref), string(channel.Transmit(sm, ref, r)))
+		nd += align.Distance(string(ref), string(channel.Transmit(nm, ref, r)))
 	}
 	if nd < 50*sd {
 		t.Errorf("Nanopore (%d) should be >>50x noisier than Sanger (%d)", nd, sd)
@@ -227,7 +227,7 @@ func TestTechnologyPhysicalPipeline(t *testing.T) {
 		if _, ok := pipe.Stages[2].(*channel.AgingStage); !ok {
 			t.Errorf("%s: stage 2 is %T, want *channel.AgingStage", tech.Name, pipe.Stages[2])
 		}
-		if err := pipe.Transmit(ref, rng.New(13)).Validate(); err != nil {
+		if err := channel.Transmit(pipe, ref, rng.New(13)).Validate(); err != nil {
 			t.Errorf("%s: %v", tech.Name, err)
 		}
 		// Pool stages must bind over coverage.
@@ -273,7 +273,7 @@ func TestIlluminaGroundTruth(t *testing.T) {
 	totalDist, totalBases := 0, 0
 	subs, indels := 0, 0
 	for _, ref := range refs {
-		read := m.Transmit(ref, r)
+		read := channel.Transmit(m, ref, r)
 		d := align.Distance(string(ref), string(read))
 		totalDist += d
 		totalBases += ref.Len()
