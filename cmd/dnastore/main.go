@@ -29,7 +29,6 @@ import (
 	"dnastore/internal/codec"
 	"dnastore/internal/dist"
 	"dnastore/internal/durable"
-	"dnastore/internal/faults"
 	"dnastore/internal/obs"
 	"dnastore/internal/store"
 )
@@ -163,7 +162,7 @@ func cmdGet(args []string) error {
 		return fmt.Errorf("get needs -key and -o")
 	}
 	logger := logOpts.Logger("dnastore")
-	spec, err := faults.ParseSpec(*faultSpec)
+	faults, err := channel.ParseFaults(*faultSpec)
 	if err != nil {
 		return err
 	}
@@ -194,7 +193,7 @@ func cmdGet(args []string) error {
 		mean := *coverage * scale
 		fmt.Fprintf(os.Stderr, "attempt %d: sequencing at %.1fx coverage, %.1f%% error\n",
 			attempt, mean, *errRate*100)
-		return spec.Wrap(m, channel.NegBinCoverage{Mean: mean, Dispersion: 6})
+		return faults.Bind(m, channel.NegBinCoverage{Mean: mean, Dispersion: 6})
 	}
 	pol := store.RetryPolicy{
 		MaxAttempts: *retries + 1,

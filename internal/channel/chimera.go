@@ -7,6 +7,9 @@ import (
 	"dnastore/internal/rng"
 )
 
+// Read effects: Channels that change whole reads rather than bases —
+// chimeras, and the truncate= and contam= fault directives.
+//
 // Chimeric reads: §2.2.3 faults DNASimulator for ignoring "errors due to
 // strand-strand interactions, since the injection of errors for every
 // strand is performed independently". The dominant interaction artifact in
@@ -93,4 +96,95 @@ func spliceTemplates(a []dna.Base, b dna.Strand, r *rng.RNG) []dna.Base {
 	// Capping the prefix's capacity makes AppendBases copy it into a fresh
 	// slice, so a's backing array (the caller's arena) is never written.
 	return b[bCut:].AppendBases(a[:cut:cut])
+}
+
+// ReadTruncation wraps a Channel and cuts reads short: with probability P
+// per read, only a prefix survives, its fraction drawn uniformly from
+// [MinFrac, 1). Models polymerase drop-off and aborted sequencing passes,
+// which preferentially destroy strand suffixes. It is the truncate=
+// directive.
+type ReadTruncation struct {
+	// Base produces the untruncated read.
+	Base Channel
+	// P is the per-read truncation probability.
+	P float64
+	// MinFrac is the shortest surviving prefix fraction (default 0.2).
+	MinFrac float64
+}
+
+// AppendTransmit implements Channel: the base read is appended to dst,
+// then cut back in place.
+func (t ReadTruncation) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
+	start := len(dst)
+	dst = t.Base.AppendTransmit(dst, ref, r, scr)
+	readLen := len(dst) - start
+	if !r.Bool(t.P) || readLen < 2 {
+		return dst
+	}
+	minFrac := t.MinFrac
+	if minFrac <= 0 || minFrac >= 1 {
+		minFrac = 0.2
+	}
+	frac := minFrac + r.Float64()*(1-minFrac)
+	n := int(frac * float64(readLen))
+	if n < 1 {
+		n = 1
+	}
+	if n >= readLen {
+		return dst
+	}
+	return dst[:start+n]
+}
+
+// Name implements Channel.
+func (t ReadTruncation) Name() string {
+	return fmt.Sprintf("%s+truncate(%.3f)", t.Base.Name(), t.P)
+}
+
+// ContaminationSpike wraps a Channel and replaces reads with contamination
+// at probability P: half the time a wholly foreign strand of comparable
+// length (carry-over from another pool), half the time a chimera keeping a
+// real prefix with an alien tail (template switching during PCR). It is
+// the contam= directive.
+type ContaminationSpike struct {
+	// Base produces the uncontaminated read.
+	Base Channel
+	// P is the per-read contamination probability.
+	P float64
+}
+
+// AppendTransmit implements Channel: alien bases are appended to dst,
+// after the kept prefix of the base read on the chimeric branch.
+func (c ContaminationSpike) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
+	if !r.Bool(c.P) {
+		return c.Base.AppendTransmit(dst, ref, r, scr)
+	}
+	n := len(ref)
+	if n < 2 {
+		n = 2
+	}
+	if r.Bool(0.5) {
+		return appendRandom(dst, n, r)
+	}
+	start := len(dst)
+	dst = c.Base.AppendTransmit(dst, ref, r, scr)
+	readLen := len(dst) - start
+	if readLen < 2 {
+		return appendRandom(dst[:start], n, r)
+	}
+	cut := 1 + r.Intn(readLen-1)
+	return appendRandom(dst[:start+cut], readLen-cut, r)
+}
+
+// Name implements Channel.
+func (c ContaminationSpike) Name() string {
+	return fmt.Sprintf("%s+contam(%.3f)", c.Base.Name(), c.P)
+}
+
+// appendRandom appends n uniform bases to dst.
+func appendRandom(dst []byte, n int, r *rng.RNG) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, dna.Base(r.Intn(dna.NumBases)).Byte())
+	}
+	return dst
 }

@@ -21,9 +21,8 @@ type CoverageModel interface {
 // RefAwareCoverage is an optional extension of CoverageModel for models
 // whose read count depends on the reference strand itself (PCR prefers
 // some sequences over others — Heckel et al.'s observation in §2.1).
-// Simulator and the coverage decorators detect it through SampleFor;
-// Pipeline.BindCoverage returns one, so ref-aware pool stages (GCBias) see
-// each cluster's reference.
+// Simulator detects it through SampleFor; Pipeline.BindCoverage returns
+// one, so ref-aware pool stages (GCBias) see each cluster's reference.
 type RefAwareCoverage interface {
 	CoverageModel
 	// SampleRef returns the read count for the given reference strand.
@@ -31,8 +30,7 @@ type RefAwareCoverage interface {
 }
 
 // SampleFor draws cluster i's read count from cov, handing it ref when cov
-// is a RefAwareCoverage. Coverage decorators sample their base through it,
-// so a ref-aware model under a decorator still sees the reference.
+// is a RefAwareCoverage.
 func SampleFor(cov CoverageModel, ref dna.Strand, i int, r *rng.RNG) int {
 	if ra, ok := cov.(RefAwareCoverage); ok {
 		return ra.SampleRef(ref, i, r)
@@ -131,36 +129,4 @@ func CoverageByName(name string, mean float64) (CoverageModel, error) {
 		return NormalCoverage{Mean: mean, SD: mean / 3}, nil
 	}
 	return nil, fmt.Errorf("unknown coverage model %q", name)
-}
-
-// ErasureCoverage wraps another model and zeroes each cluster's coverage
-// with probability P, modelling whole-strand loss (failed PCR
-// amplification or storage decay — the 16 empty clusters in the Nanopore
-// dataset). It is also the `-faults dropout=P` injector. It stays a
-// decorator, not a pool stage, because its draw precedes the base
-// coverage draw; a pool stage's would follow it, changing every dropout
-// dataset.
-type ErasureCoverage struct {
-	Base CoverageModel
-	P    float64
-}
-
-// Sample implements CoverageModel: SampleRef without a reference.
-func (e ErasureCoverage) Sample(i int, r *rng.RNG) int {
-	return e.SampleRef("", i, r)
-}
-
-// SampleRef implements RefAwareCoverage: the dropout draw first, then the
-// base count for ref.
-func (e ErasureCoverage) SampleRef(ref dna.Strand, i int, r *rng.RNG) int {
-	if r.Bool(e.P) {
-		return 0
-	}
-	return SampleFor(e.Base, ref, i, r)
-}
-
-// Name implements CoverageModel. The rendering is part of
-// Simulator.Describe, which keys dnasim and dnasimd checkpoint journals.
-func (e ErasureCoverage) Name() string {
-	return fmt.Sprintf("%s+dropout(%.3f)", e.Base.Name(), e.P)
 }

@@ -381,7 +381,7 @@ func TestCoverageModels(t *testing.T) {
 		t.Errorf("normal coverage mean = %v", float64(sum)/n)
 	}
 
-	ec := ErasureCoverage{Base: FixedCoverage(10), P: 0.2}
+	ec := Pipeline{Stages: []Stage{Dropout{P: 0.2}}}.BindCoverage(FixedCoverage(10))
 	zeros = 0
 	for i := 0; i < n; i++ {
 		if ec.Sample(i, r) == 0 {

@@ -10,8 +10,8 @@ import (
 	"dnastore/internal/rng"
 )
 
-// Process-level drill injectors. Unlike the channel/coverage injectors in
-// faults.go — which draw from the per-cluster RNG and therefore recur
+// Process-level drill injectors. Unlike the channel grammar's fault
+// directives — which draw from the per-cluster RNG and therefore recur
 // identically on every retry — these model *transient* runtime failures:
 // a worker that panics a few times and then behaves, a read that hangs
 // until an operator intervenes, a channel that is merely slow. They keep

@@ -36,7 +36,7 @@ func faultGoldenModel() *channel.Model {
 }
 
 func faultGoldenCases(t *testing.T) []faultGoldenCase {
-	spec, err := ParseSpec(goldenSpec)
+	spec, err := channel.ParseFaults(goldenSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func faultGoldenCases(t *testing.T) []faultGoldenCase {
 		{
 			name: "spec-model",
 			sim: func([]dna.Strand) channel.Simulator {
-				ch, cov := spec.Wrap(faultGoldenModel(), negbin)
+				ch, cov := spec.Bind(faultGoldenModel(), negbin)
 				return channel.Simulator{Channel: ch, Coverage: cov}
 			},
 			hash: "ba8c955bbaaba0df73087d2bad1c1b54",
@@ -54,7 +54,7 @@ func faultGoldenCases(t *testing.T) []faultGoldenCase {
 			name: "spec-physical",
 			sim: func([]dna.Strand) channel.Simulator {
 				physical := channel.NewPhysicalPipeline("golden-physical", 0.059, 100)
-				ch, cov := spec.Wrap(physical, physical.BindCoverage(negbin))
+				ch, cov := spec.Bind(physical, negbin)
 				return channel.Simulator{Channel: ch, Coverage: cov}
 			},
 			hash: "a5f014c2f708de2088b6f00ddf261c3b",
@@ -62,7 +62,7 @@ func faultGoldenCases(t *testing.T) []faultGoldenCase {
 		{
 			name: "chimera-spec-model",
 			sim: func(refs []dna.Strand) channel.Simulator {
-				ch, cov := spec.Wrap(faultGoldenModel(), negbin)
+				ch, cov := spec.Bind(faultGoldenModel(), negbin)
 				chim, err := channel.NewChimera(ch, refs, 0.15)
 				if err != nil {
 					t.Fatal(err)

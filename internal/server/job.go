@@ -13,7 +13,6 @@ import (
 	"dnastore/internal/channel"
 	"dnastore/internal/dist"
 	"dnastore/internal/dna"
-	"dnastore/internal/faults"
 )
 
 // JobKind selects the workload a job runs.
@@ -77,8 +76,9 @@ type SimulateSpec struct {
 	Del float64 `json:"del,omitempty"`
 	// Spatial is the error position distribution (uniform when empty).
 	Spatial string `json:"spatial,omitempty"`
-	// Stages is a multi-stage channel in the -stages DSL
-	// (channel.ParseStages); mutually exclusive with Sub/Ins/Del/Spatial.
+	// Stages is a multi-stage channel, the stage directives of the channel
+	// grammar (channel.ParseStages); mutually exclusive with
+	// Sub/Ins/Del/Spatial.
 	// Pool stages (PCR skew, breakage) bind over the coverage model. The
 	// raw string is part of the fingerprint, so identical stage specs
 	// shard, cache and resume together across dnasimd and the fleet.
@@ -87,7 +87,8 @@ type SimulateSpec struct {
 	// sampler for channel.CoverageByName (fixed when empty).
 	Coverage      float64 `json:"coverage,omitempty"`
 	CoverageModel string  `json:"coverage_model,omitempty"`
-	// Faults is a fault-injection spec in the -faults DSL.
+	// Faults holds the fault directives of the channel grammar
+	// (channel.ParseFaults).
 	Faults string `json:"faults,omitempty"`
 	// ClusterFirst and ClusterCount select a cluster-range shard: only
 	// clusters [ClusterFirst, ClusterFirst+ClusterCount) are simulated,
@@ -174,7 +175,7 @@ func (sp *SimulateSpec) Validate() error {
 			return err
 		}
 	}
-	if _, err := faults.ParseSpec(sp.Faults); err != nil {
+	if _, err := channel.ParseFaults(sp.Faults); err != nil {
 		return err
 	}
 	switch {
@@ -204,16 +205,17 @@ func (sp *SimulateSpec) References() []dna.Strand {
 }
 
 // Simulator builds the channel and coverage model the spec describes.
-// Stage pipelines bind their pool stages over the coverage model before the
-// fault injectors wrap both, so faults stay outermost — a dropout zeroes a
-// cluster no matter what the pool stages said.
 func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, error) {
+	stages, err := channel.ParseStages(sp.Stages)
+	if err != nil {
+		return nil, nil, err
+	}
+	faults, err := channel.ParseFaults(sp.Faults)
+	if err != nil {
+		return nil, nil, err
+	}
 	var ch channel.Channel
 	if sp.Stages != "" {
-		stages, err := channel.ParseStages(sp.Stages)
-		if err != nil {
-			return nil, nil, err
-		}
 		ch = stages.Build("dnasimd-staged")
 	} else {
 		m := channel.NewNaive("dnasimd", channel.Rates{Sub: sp.Sub, Ins: sp.Ins, Del: sp.Del})
@@ -230,14 +232,7 @@ func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, err
 	if err != nil {
 		return nil, nil, err
 	}
-	if pipe, ok := ch.(channel.Pipeline); ok {
-		cov = pipe.BindCoverage(cov)
-	}
-	spec, err := faults.ParseSpec(sp.Faults)
-	if err != nil {
-		return nil, nil, err
-	}
-	ch, cov = spec.Wrap(ch, cov)
+	ch, cov = faults.Bind(ch, cov)
 	return ch, cov, nil
 }
 
@@ -266,7 +261,8 @@ type RetrieveSpec struct {
 	// Retries and Backoff bound the adaptive re-sequencing loop.
 	Retries int     `json:"retries,omitempty"`
 	Backoff float64 `json:"backoff,omitempty"`
-	// Faults is a fault-injection spec in the -faults DSL.
+	// Faults holds the fault directives of the channel grammar
+	// (channel.ParseFaults).
 	Faults string `json:"faults,omitempty"`
 }
 
@@ -289,10 +285,8 @@ func (sp *RetrieveSpec) Validate() error {
 	if sp.Retries < 0 {
 		return fmt.Errorf("retries %d negative", sp.Retries)
 	}
-	if _, err := faults.ParseSpec(sp.Faults); err != nil {
-		return err
-	}
-	return nil
+	_, err := channel.ParseFaults(sp.Faults)
+	return err
 }
 
 // JobSpec is the submission payload: one kind plus its parameters and an

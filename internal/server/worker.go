@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dnastore/internal/channel"
-	"dnastore/internal/faults"
 	"dnastore/internal/obs"
 	"dnastore/internal/store"
 )
@@ -432,13 +431,13 @@ func (e *localExec) executeRetrieve(ctx context.Context, j *Job) jobOutcome {
 	if err != nil {
 		return jobOutcome{err: fmt.Errorf("load pool: %w", err)}
 	}
-	fspec, err := faults.ParseSpec(spec.Faults)
+	faults, err := channel.ParseFaults(spec.Faults)
 	if err != nil {
 		return jobOutcome{err: err}
 	}
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
 		m := channel.NewNaive("sequencer", channel.NanoporeMix(spec.ErrorRate))
-		return fspec.Wrap(m, channel.NegBinCoverage{Mean: spec.Coverage * scale, Dispersion: 6})
+		return faults.Bind(m, channel.NegBinCoverage{Mean: spec.Coverage * scale, Dispersion: 6})
 	}
 	pol := store.RetryPolicy{MaxAttempts: spec.Retries + 1, Backoff: spec.Backoff}
 	data, _, _, err := pool.RetrieveAdaptive(ctx, spec.Key, factory, pol, spec.Seed)

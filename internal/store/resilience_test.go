@@ -9,7 +9,6 @@ import (
 
 	"dnastore/internal/channel"
 	"dnastore/internal/codec"
-	"dnastore/internal/faults"
 	"dnastore/internal/obs"
 )
 
@@ -60,7 +59,7 @@ func TestRetrieveReportCleanPath(t *testing.T) {
 }
 
 // TestRetrieveReportDropout erases designed-strand clusters via the
-// deterministic ZeroCoverageRegion injector and checks the three regimes:
+// deterministic zerocov= fault and checks the three regimes:
 // parity-strand dropout (free), data-strand dropout within group-parity
 // capacity (repaired as erasures), and beyond capacity (unrecoverable,
 // with the lost strands named).
@@ -78,7 +77,7 @@ func TestRetrieveReportDropout(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p, payload := resiliencePool(t)
-			cov := faults.ZeroCoverageRegion{Base: channel.FixedCoverage(5), Start: tc.start, Len: tc.n}
+			_, cov := channel.StageList{{Kind: "zerocov", Start: tc.start, Len: tc.n}}.Bind(nil, channel.FixedCoverage(5))
 			reads := p.Sequence(cleanChannel(), cov, 9)
 			data, rep, err := p.RetrieveReport("doc", reads)
 			if tc.wantOK {
@@ -121,7 +120,7 @@ func TestRetrieveReportTruncatedReads(t *testing.T) {
 	p, payload := resiliencePool(t)
 	// Most reads lose their tail, but enough full-length reads per cluster
 	// survive for reconstruction plus per-strand RS to repair the damage.
-	ch := faults.ReadTruncation{Base: cleanChannel(), P: 0.5, MinFrac: 0.5}
+	ch := channel.ReadTruncation{Base: cleanChannel(), P: 0.5, MinFrac: 0.5}
 	reads := p.Sequence(ch, channel.FixedCoverage(10), 11)
 	data, rep, err := p.RetrieveReport("doc", reads)
 	if err != nil {
@@ -132,7 +131,7 @@ func TestRetrieveReportTruncatedReads(t *testing.T) {
 	}
 	// Universal heavy truncation destroys the object; the report must say
 	// what was lost rather than silently failing.
-	ch = faults.ReadTruncation{Base: cleanChannel(), P: 1, MinFrac: 0.2}
+	ch = channel.ReadTruncation{Base: cleanChannel(), P: 1, MinFrac: 0.2}
 	reads = p.Sequence(ch, channel.FixedCoverage(4), 11)
 	_, rep, err = p.RetrieveReport("doc", reads)
 	if err == nil {
@@ -149,7 +148,7 @@ func TestRetrieveAdaptiveRecoversFromDropout(t *testing.T) {
 	// group parity covers, but each retry re-rolls the dropout with a fresh
 	// derived seed, so a bounded retry loop recovers.
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
-		return cleanChannel(), channel.ErasureCoverage{Base: channel.FixedCoverage(4), P: 0.5}
+		return channel.StageList{{Kind: "dropout", Rate: 0.5}}.Bind(cleanChannel(), channel.FixedCoverage(4))
 	}
 	attemptsSeen := 0
 	pol := RetryPolicy{
@@ -205,7 +204,7 @@ func TestRetrieveAdaptiveExhaustion(t *testing.T) {
 	// A dead region is deterministic — no amount of re-sequencing helps —
 	// so the loop must exhaust its attempts and surface a structured error.
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
-		return cleanChannel(), faults.ZeroCoverageRegion{Base: channel.FixedCoverage(4), Start: 0, Len: 8}
+		return channel.StageList{{Kind: "zerocov", Len: 8}}.Bind(cleanChannel(), channel.FixedCoverage(4))
 	}
 	data, rep, attempts, err := p.RetrieveAdaptive(context.Background(), "doc", factory, RetryPolicy{MaxAttempts: 3}, 1)
 	if err == nil {
@@ -275,7 +274,7 @@ func TestRetrieveAdaptiveDeadlineMidRun(t *testing.T) {
 	factory := func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
 		// A dead region fails every attempt; cancel after the first one so
 		// the loop exits on ctx.Err() at the top of attempt 2.
-		return cleanChannel(), faults.ZeroCoverageRegion{Base: channel.FixedCoverage(4), Start: 0, Len: 8}
+		return channel.StageList{{Kind: "zerocov", Len: 8}}.Bind(cleanChannel(), channel.FixedCoverage(4))
 	}
 	pol := RetryPolicy{MaxAttempts: 5, OnAttempt: func(attempt int, rep RetrieveReport, err error) {
 		cancel()
@@ -314,7 +313,7 @@ func TestRetrieveAdaptiveBackoffCapAndJitter(t *testing.T) {
 	record := func(scales *[]float64) SequencerFactory {
 		return func(attempt int, scale float64) (channel.Channel, channel.CoverageModel) {
 			*scales = append(*scales, scale)
-			return cleanChannel(), faults.ZeroCoverageRegion{Base: channel.FixedCoverage(4), Start: 0, Len: 8}
+			return channel.StageList{{Kind: "zerocov", Len: 8}}.Bind(cleanChannel(), channel.FixedCoverage(4))
 		}
 	}
 

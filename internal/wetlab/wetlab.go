@@ -85,6 +85,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// simulator runs ch over the config's negative-binomial coverage, with
+// each cluster lost whole at ErasureP.
+func (c Config) simulator(ch channel.Channel) channel.Simulator {
+	ch, cov := channel.StageList{{Kind: "dropout", Rate: c.ErasureP}}.Bind(ch,
+		channel.NegBinCoverage{Mean: c.MeanCoverage, Dispersion: c.Dispersion})
+	return channel.Simulator{Channel: ch, Coverage: cov}
+}
+
 // GroundTruthChannel builds the channel that stands in for the physical
 // Nanopore pipeline at the given aggregate error rate. It layers every
 // effect the paper attributes to the real data:
@@ -172,14 +180,7 @@ func GenerateIllumina(cfg Config) (*dataset.Dataset, error) {
 		return nil, err
 	}
 	refs := channel.RandomReferences(cfg.NumClusters, cfg.StrandLen, cfg.Seed)
-	sim := channel.Simulator{
-		Channel: GroundTruthIlluminaChannel(cfg.ErrorRate),
-		Coverage: channel.ErasureCoverage{
-			Base: channel.NegBinCoverage{Mean: cfg.MeanCoverage, Dispersion: cfg.Dispersion},
-			P:    cfg.ErasureP,
-		},
-	}
-	ds := sim.Simulate("Illumina", refs, cfg.Seed+0x11)
+	ds := cfg.simulator(GroundTruthIlluminaChannel(cfg.ErrorRate)).Simulate("Illumina", refs, cfg.Seed+0x11)
 	return ds, nil
 }
 
@@ -196,14 +197,7 @@ func GenerateCtx(ctx context.Context, cfg Config) (*dataset.Dataset, error) {
 		return nil, err
 	}
 	refs := channel.RandomReferences(cfg.NumClusters, cfg.StrandLen, cfg.Seed)
-	sim := channel.Simulator{
-		Channel: GroundTruthChannel(cfg.ErrorRate),
-		Coverage: channel.ErasureCoverage{
-			Base: channel.NegBinCoverage{Mean: cfg.MeanCoverage, Dispersion: cfg.Dispersion},
-			P:    cfg.ErasureP,
-		},
-	}
-	ds, err := sim.SimulateCtx(ctx, "Nanopore", refs, cfg.Seed+0x5743)
+	ds, err := cfg.simulator(GroundTruthChannel(cfg.ErrorRate)).SimulateCtx(ctx, "Nanopore", refs, cfg.Seed+0x5743)
 	if err != nil {
 		return nil, err
 	}
