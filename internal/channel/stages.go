@@ -14,10 +14,12 @@ import (
 //   - per-strand error stages implement Channel: they perturb individual
 //     reads (synthesis errors, sequencing noise, chimeras) on the
 //     zero-allocation kernel, each stage's output feeding the next.
-//   - pool stages implement PoolStage (pool.go): they transform the
-//     cluster population before any read is generated — PCR amplification
-//     skew, strand breakage, decay dropout — by rewriting the cluster's
-//     read count. Pipeline.BindCoverage layers them over a CoverageModel.
+//   - count stages transform the cluster population before any read is
+//     generated (pool.go): pool stages (PoolStage) rewrite the cluster's
+//     read count after the base coverage draw — PCR amplification skew,
+//     strand breakage, GC bias — and pre-base stages (PreBaseStage:
+//     Dropout, ZeroCoverage) may erase the cluster before it.
+//     Pipeline.BindCoverage layers them over a CoverageModel.
 //
 // One concrete type may be both shapes at once: PCRAmplification adds
 // per-cycle substitutions to every strand and lognormal amplification
