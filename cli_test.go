@@ -406,6 +406,54 @@ func TestCLICheckpointRejectsOtherChannel(t *testing.T) {
 	}
 }
 
+// TestCLIBlankStages: a blank -stages value means no stages, as a blank
+// -faults value means no faults, so it neither conflicts with -sub nor
+// selects the identity pipeline.
+func TestCLIBlankStages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	refs := filepath.Join(t.TempDir(), "refs.txt")
+	var sb strings.Builder
+	for _, ref := range channel.RandomReferences(20, 60, 3) {
+		sb.WriteString(string(ref))
+		sb.WriteByte('\n')
+	}
+	if err := os.WriteFile(refs, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-refs", refs, "-coverage", "4", "-seed", "5", "-sub", "0.01"}
+	plain := runCLI(t, bin, "dnasim", common...)
+	if blank := runCLI(t, bin, "dnasim", append(common, "-stages", " ")...); blank != plain {
+		t.Error("-stages ' ' -sub 0.01 gives other bytes than -sub 0.01")
+	}
+}
+
+// TestCLIRefusesEmptyRead: deleting every base of a short strand makes an
+// empty read, which the cluster text format cannot carry (its blank line
+// ends the cluster). dnasim fails and leaves no output file instead of
+// writing one that dataset.Read rejects.
+func TestCLIRefusesEmptyRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	refs := filepath.Join(work, "refs.txt")
+	if err := os.WriteFile(refs, []byte("AC\nGT\nTTA\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(work, "sim.txt")
+	_, stderr := runCLIFail(t, bin, "dnasim", "-refs", refs, "-del", "0.5", "-coverage", "6", "-seed", "1", "-o", out)
+	if !strings.Contains(stderr, "empty read") {
+		t.Errorf("dnasim failed for another reason:\n%s", stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("output file left behind: %v", err)
+	}
+}
+
 // TestCLIScrub drives scrub/repair end to end: a clean pool scrubs green,
 // injected bit rot is detected and repaired in place, torn writes are
 // reported as truncation, and legacy JSON pools load with a warning.

@@ -185,7 +185,11 @@ func TestErasedShardBytesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := spec.References()
-	ds, err := dataset.Read(bytes.NewReader(erasedShardBytes(refs, 2, 3)))
+	b, err := erasedShardBytes(refs, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Read(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("erased shard bytes do not parse: %v", err)
 	}

@@ -129,18 +129,18 @@ func (c *Coordinator) restoreDone(js server.JobSpec, shardClusters int) ([]byte,
 	}
 	shards := shardsOf(spec, shardClusters)
 	rep := Report{TotalClusters: spec.NumClusters(), Shards: make([]ShardStatus, len(shards))}
-	var buf bytes.Buffer
+	parts := make([][]byte, len(shards))
 	for i, sh := range shards {
 		data, ok := c.spill.get(sh.key)
 		if !ok {
 			return nil, Report{}, false
 		}
 		c.cache.seed(sh.key, data)
-		buf.Write(data)
+		parts[i] = data
 		rep.Shards[i] = ShardStatus{Index: sh.index, First: sh.first, Count: sh.count, CacheHit: true}
 		rep.CacheHits++
 		c.metrics.cacheHits.Inc()
 		c.metrics.shardsDone.Inc()
 	}
-	return buf.Bytes(), rep, true
+	return bytes.Join(parts, nil), rep, true
 }

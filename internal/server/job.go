@@ -153,13 +153,14 @@ func (sp *SimulateSpec) Validate() error {
 	if err := rates.Validate(); err != nil {
 		return err
 	}
-	if sp.Stages != "" {
-		if sp.Sub != 0 || sp.Ins != 0 || sp.Del != 0 || sp.Spatial != "" {
-			return errors.New("stages is mutually exclusive with sub/ins/del/spatial")
-		}
-		if _, err := channel.ParseStages(sp.Stages); err != nil {
-			return err
-		}
+	stages, err := channel.ParseStages(sp.Stages)
+	if err != nil {
+		return err
+	}
+	// A blank stages value means no stages, as a blank faults value means
+	// no faults.
+	if len(stages) > 0 && (sp.Sub != 0 || sp.Ins != 0 || sp.Del != 0 || sp.Spatial != "") {
+		return errors.New("stages is mutually exclusive with sub/ins/del/spatial")
 	}
 	if sp.Coverage <= 0 {
 		sp.Coverage = 6
@@ -215,7 +216,7 @@ func (sp *SimulateSpec) Simulator() (channel.Channel, channel.CoverageModel, err
 		return nil, nil, err
 	}
 	var ch channel.Channel
-	if sp.Stages != "" {
+	if len(stages) > 0 {
 		ch = stages.Build("dnasimd-staged")
 	} else {
 		m := channel.NewNaive("dnasimd", channel.Rates{Sub: sp.Sub, Ins: sp.Ins, Del: sp.Del})

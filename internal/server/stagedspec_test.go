@@ -65,6 +65,21 @@ func TestSimulateSpecStagesSimulator(t *testing.T) {
 	}
 }
 
+// TestSimulateSpecBlankStages: a blank stages value means no stages, as a
+// blank faults value means no faults. It neither conflicts with the rates
+// nor selects the identity pipeline, whose reads are exact copies.
+func TestSimulateSpecBlankStages(t *testing.T) {
+	plain := SimulateSpec{NumRefs: 12, RefLen: 60, Seed: 9, Sub: 0.01, Coverage: 4}
+	blank := plain
+	blank.Stages = " "
+	if err := blank.Validate(); err != nil {
+		t.Fatalf("blank stages with rates rejected: %v", err)
+	}
+	if !bytes.Equal(sequentialResult(t, &blank), sequentialResult(t, &plain)) {
+		t.Error("blank stages give other bytes than no stages")
+	}
+}
+
 // TestSimulateSpecStagesFingerprint: adding stages changes the
 // fingerprint; leaving them empty keeps it byte-compatible with specs from
 // before the field existed (omitempty), so old journals stay resumable.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -411,11 +410,12 @@ func (e *localExec) executeSimulate(ctx context.Context, j *Job) jobOutcome {
 		}
 		return jobOutcome{err: simErr}
 	}
-	var out bytes.Buffer
-	if err := ds.Write(&out); err != nil {
+	// Exact-size: the job table holds the result until it is fetched.
+	out, err := ds.AppendText(nil)
+	if err != nil {
 		return jobOutcome{err: err}
 	}
-	return jobOutcome{result: out.Bytes()}
+	return jobOutcome{result: out}
 }
 
 // executeRetrieve runs one attempt of a retrieval job: pool load through
