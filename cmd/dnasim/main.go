@@ -83,13 +83,12 @@ func main() {
 			fail(err)
 		}
 		channelFlags = fmt.Sprintf("calibrate=%s sha256=%s tier=%s", *calibrate, digest, *tier)
-	} else if *stageSpec != "" {
+	} else if stageList, err := channel.ParseStages(*stageSpec); err != nil {
+		fail(err)
+	} else if len(stageList) > 0 {
+		// A blank -stages means no stages, as a blank -faults means no faults.
 		if *sub != 0 || *ins != 0 || *del != 0 || *spatial != "uniform" {
 			fail(errors.New("-stages is mutually exclusive with -sub/-ins/-del/-spatial"))
-		}
-		stageList, err := channel.ParseStages(*stageSpec)
-		if err != nil {
-			fail(err)
 		}
 		ch = stageList.Build("staged")
 		channelFlags = "stages=" + stageList.String()
