@@ -39,7 +39,8 @@ chaos-smoke:
 # cluster text format (Write→Read and raw Read), and
 # the channel grammar (one target per field: faults, then stages) — plus
 # the bit-parallel edit-distance kernel and the banded edit-script traceback,
-# each against its full-matrix oracle.
+# each against its full-matrix oracle, and the shift-register Reed–Solomon
+# encoder and clean check against the long-division/syndrome oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/
 	$(GO) test -run='^$$' -fuzz=FuzzDistanceAtMost -fuzztime=10s ./internal/align/
 	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
+	$(GO) test -run='^$$' -fuzz=FuzzRSCodeword -fuzztime=10s ./internal/codec/
 
 # Example smoke: build every examples/* program and run it in a temp dir
 # (calibration and trainingdata write files to the working directory).

@@ -215,3 +215,108 @@ func TestRSTooManyErasures(t *testing.T) {
 		t.Error("5 erasures accepted with 4 parity symbols")
 	}
 }
+
+// oracleEncode is the long-division encoder the shift-register kernel
+// replaced: msg·x^nsym divided by the generator, with a field multiply
+// per generator coefficient per message byte.
+func oracleEncode(nsym int, msg []byte) []byte {
+	gen := []byte{1}
+	for i := 0; i < nsym; i++ {
+		gen = polyMul(gen, []byte{1, gfPow(2, i)})
+	}
+	rem := make([]byte, len(msg)+nsym)
+	copy(rem, msg)
+	for i := range msg {
+		coef := rem[i]
+		if coef == 0 {
+			continue
+		}
+		for j := 1; j < len(gen); j++ {
+			rem[i+j] ^= gfMul(gen[j], coef)
+		}
+	}
+	copy(rem, msg)
+	return rem
+}
+
+// oracleClean is the clean test the re-encoding check replaced: every
+// syndrome cw(αⁱ), i < nsym, is zero.
+func oracleClean(nsym int, cw []byte) bool {
+	for i := 0; i < nsym; i++ {
+		if polyEval(cw, gfPow(2, i)) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRSMatchesOracle checks the kernel against the oracle over every
+// parity count and random message lengths: Encode gives the oracle's
+// codeword, and the clean check agrees with the syndromes on the
+// codeword, on it with one byte flipped, and on arbitrary bytes.
+func TestRSMatchesOracle(t *testing.T) {
+	r := rng.New(8)
+	for trial := 0; trial < 4*254; trial++ {
+		nsym := 1 + trial%254
+		rs := MustRS(nsym)
+		msg := randMsg(r, 1+r.Intn(255-nsym))
+		cw, err := rs.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleEncode(nsym, msg); !bytes.Equal(cw, want) {
+			t.Fatalf("nsym %d len %d: Encode differs from the oracle", nsym, len(msg))
+		}
+		if !rs.clean(cw) || !oracleClean(nsym, cw) {
+			t.Fatalf("nsym %d: codeword not clean", nsym)
+		}
+		cw[r.Intn(len(cw))] ^= byte(1 + r.Intn(255))
+		if rs.clean(cw) || oracleClean(nsym, cw) {
+			t.Fatalf("nsym %d: one flipped byte reads as clean", nsym)
+		}
+		word := randMsg(r, nsym+1+r.Intn(255-nsym))
+		if rs.clean(word) != oracleClean(nsym, word) {
+			t.Fatalf("nsym %d: clean check disagrees with the syndromes on %x", nsym, word)
+		}
+	}
+}
+
+// TestRSAllocs gates the hot paths exactly: AppendEncode into a dst with
+// room and DecodeDetail on a clean codeword allocate nothing.
+func TestRSAllocs(t *testing.T) {
+	for _, nsym := range []int{6, 8, 16, 128} {
+		rs := MustRS(nsym)
+		msg := randMsg(rng.New(9), 255-nsym)
+		dst := make([]byte, 0, 255)
+		if a := testing.AllocsPerRun(50, func() {
+			if _, err := rs.AppendEncode(dst, msg); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("nsym %d: %v allocs per AppendEncode, want 0", nsym, a)
+		}
+		cw, _ := rs.AppendEncode(dst, msg)
+		if a := testing.AllocsPerRun(50, func() {
+			if _, n, err := rs.DecodeDetail(cw, nil); err != nil || n != 0 {
+				t.Fatal(n, err)
+			}
+		}); a != 0 {
+			t.Errorf("nsym %d: %v allocs per clean DecodeDetail, want 0", nsym, a)
+		}
+	}
+}
+
+func TestAppendEncodeExtendsDst(t *testing.T) {
+	rs := MustRS(8)
+	msg := []byte("hello gopher")
+	out, err := rs.AppendEncode([]byte("head"), msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("head"), oracleEncode(8, msg)...); !bytes.Equal(out, want) {
+		t.Errorf("AppendEncode = %x, want %x", out, want)
+	}
+	if out, err := rs.AppendEncode([]byte("head"), nil); err == nil || string(out) != "head" {
+		t.Errorf("empty message: %q, %v", out, err)
+	}
+}

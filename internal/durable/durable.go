@@ -221,42 +221,33 @@ func parseHeader(r io.Reader) (Kind, int, error) {
 	return Kind(h[5]), parity, nil
 }
 
-// encodeFrame serialises one frame and returns its bytes plus the payload
-// CRC that the footer's running CRC accumulates.
-func encodeFrame(name string, raw []byte, parity int, rs *codec.RS) ([]byte, uint32, error) {
+// encodeFrame serialises one frame into a single exact-size slice. The
+// frame ends with the stored payload CRC, the four bytes the footer's
+// running CRC accumulates.
+func encodeFrame(name string, raw []byte, parity int, rs *codec.RS) ([]byte, error) {
 	if name == "" || len(name) > 255 {
-		return nil, 0, fmt.Errorf("durable: frame name %q must be 1..255 bytes", name)
+		return nil, fmt.Errorf("durable: frame name %q must be 1..255 bytes", name)
 	}
 	if len(raw) > maxFrameSize {
-		return nil, 0, fmt.Errorf("durable: frame payload %d bytes exceeds %d", len(raw), maxFrameSize)
+		return nil, fmt.Errorf("durable: frame payload %d bytes exceeds %d", len(raw), maxFrameSize)
 	}
-	var buf bytes.Buffer
-	buf.Grow(10 + len(name) + encodedLen(len(raw), parity) + 4)
-	buf.WriteByte(frameMarker)
-	buf.WriteByte(byte(len(name)))
-	buf.WriteString(name)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(raw)))
-	buf.Write(u32[:])
-	binary.LittleEndian.PutUint32(u32[:], crc(buf.Bytes()))
-	buf.Write(u32[:])
+	buf := make([]byte, 0, 2+len(name)+8+encodedLen(len(raw), parity)+4)
+	buf = append(buf, frameMarker, byte(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(raw)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc(buf))
 	if parity == 0 {
-		buf.Write(raw)
+		buf = append(buf, raw...)
 	} else {
 		data := 255 - parity
 		for off := 0; off < len(raw); off += data {
-			end := min(off+data, len(raw))
-			cw, err := rs.Encode(raw[off:end])
-			if err != nil {
-				return nil, 0, err
+			var err error
+			if buf, err = rs.AppendEncode(buf, raw[off:min(off+data, len(raw))]); err != nil {
+				return nil, err
 			}
-			buf.Write(cw)
 		}
 	}
-	pcrc := crc(raw)
-	binary.LittleEndian.PutUint32(u32[:], pcrc)
-	buf.Write(u32[:])
-	return buf.Bytes(), pcrc, nil
+	return binary.LittleEndian.AppendUint32(buf, crc(raw)), nil
 }
 
 // readFrame parses one frame after its marker byte has been consumed.
@@ -302,10 +293,11 @@ func readFrame(r io.Reader, parity int, rs *codec.RS, index int) (*Frame, uint32
 	if parity == 0 {
 		frame.Payload = body
 	} else {
-		frame.Payload = make([]byte, 0, rawLen)
-		for off := 0; off < len(body); {
-			end := min(off+255, len(body))
-			cw := body[off:end]
+		// Each codeword's data bytes move down over the parity of the
+		// codewords before it, so the payload is compacted in place.
+		n := 0
+		for off := 0; off < len(body); off += 255 {
+			cw := body[off:min(off+255, len(body))]
 			msg, corrected, err := rs.DecodeDetail(cw, nil)
 			if err != nil {
 				// Unrecoverable codeword: keep the damaged data bytes so
@@ -314,9 +306,9 @@ func readFrame(r io.Reader, parity int, rs *codec.RS, index int) (*Frame, uint32
 				msg = cw[:len(cw)-parity]
 			}
 			frame.Corrected += corrected
-			frame.Payload = append(frame.Payload, msg...)
-			off = end
+			n += copy(body[n:], msg)
 		}
+		frame.Payload = body[:n:n]
 	}
 	if decodeFailed || crc(frame.Payload) != pcrc {
 		return frame, pcrc, &FrameError{Index: index, Name: name, Err: ErrCorrupt}

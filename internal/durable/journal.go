@@ -129,7 +129,7 @@ func (j *Journal) Kind() Kind { return j.kind }
 // Append durably writes one frame: the write is followed by fsync before
 // Append returns, so a committed frame survives any later crash.
 func (j *Journal) Append(name string, payload []byte) error {
-	frame, _, err := encodeFrame(name, payload, j.parity, j.rs)
+	frame, err := encodeFrame(name, payload, j.parity, j.rs)
 	if err != nil {
 		return err
 	}
@@ -150,7 +150,7 @@ func (j *Journal) Append(name string, payload []byte) error {
 // content the owner can re-derive (progress hints, not commitments). A
 // later Append, Sync, or Close makes the frame durable.
 func (j *Journal) AppendNoSync(name string, payload []byte) error {
-	frame, _, err := encodeFrame(name, payload, j.parity, j.rs)
+	frame, err := encodeFrame(name, payload, j.parity, j.rs)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"dnastore/internal/codec"
@@ -46,7 +47,7 @@ func (w *Writer) WriteFrame(name string, payload []byte) error {
 	if w.closed {
 		return fmt.Errorf("durable: write to closed container")
 	}
-	frame, pcrc, err := encodeFrame(name, payload, w.parity, w.rs)
+	frame, err := encodeFrame(name, payload, w.parity, w.rs)
 	if err != nil {
 		return err
 	}
@@ -54,7 +55,9 @@ func (w *Writer) WriteFrame(name string, payload []byte) error {
 		return err
 	}
 	w.frames++
-	w.runCRC = updateRunCRC(w.runCRC, pcrc)
+	// The frame's last four bytes are its stored payload CRC; folding
+	// them from the frame keeps WriteFrame to the frame's one allocation.
+	w.runCRC = crc32.Update(w.runCRC, castagnoli, frame[len(frame)-4:])
 	return nil
 }
 
