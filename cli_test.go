@@ -454,6 +454,34 @@ func TestCLIRefusesEmptyRead(t *testing.T) {
 	}
 }
 
+// TestCLIReconRefusesErasedCluster: a cluster with no reads reconstructs
+// to an empty strand, which a reference file cannot hold (its blank line
+// would shift every later strand up one). dnarecon -out must fail, name
+// the strand and leave no file.
+func TestCLIReconRefusesErasedCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	in := filepath.Join(work, "er.txt")
+	sep := "*****************************\n"
+	data := "ACGTAACGAC\n" + sep + "ACGTAACGAC\nACGTAACGAC\n\n" +
+		"GGCCAATTGG\n" + sep + "\n" +
+		"TTTTAAAACC\n" + sep + "TTTTAAAACC\n\n"
+	if err := os.WriteFile(in, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(work, "rec.txt")
+	_, stderr := runCLIFail(t, bin, "dnarecon", "-in", in, "-out", out, "-algs", "bma")
+	if !strings.Contains(stderr, "strand 1 is empty") {
+		t.Errorf("dnarecon failed for another reason:\n%s", stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("output file left behind: %v", err)
+	}
+}
+
 // TestCLIScrub drives scrub/repair end to end: a clean pool scrubs green,
 // injected bit rot is detected and repaired in place, torn writes are
 // reported as truncation, and legacy JSON pools load with a warning.

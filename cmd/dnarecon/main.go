@@ -13,10 +13,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"dnastore/internal/dataset"
+	"dnastore/internal/durable"
 	"dnastore/internal/metrics"
 	"dnastore/internal/obs"
 	"dnastore/internal/recon"
@@ -77,15 +79,10 @@ func main() {
 		}
 		out := recon.ReconstructDatasetCtx(ctx, alg, ds)
 		if *outPath != "" && algIdx == 0 {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				fail(err)
-			}
-			if err := dataset.WriteRefs(f, out); err != nil {
-				f.Close()
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
+			// Atomic, so a refused strand leaves no partial file behind.
+			if err := durable.WriteFileAtomic(*outPath, func(w io.Writer) error {
+				return dataset.WriteRefs(w, out)
+			}); err != nil {
 				fail(err)
 			}
 		}

@@ -355,8 +355,15 @@ func Read(rd io.Reader) (*Dataset, error) {
 }
 
 // WriteRefs writes one reference strand per line, in chunks of at least
-// 64 KiB (the last may be shorter).
+// 64 KiB (the last may be shorter). It checks every strand before writing a
+// byte and refuses an empty one, as encodedSize does: ReadRefs skips its
+// blank line, so every later strand would read back one line early.
 func WriteRefs(w io.Writer, refs []dna.Strand) error {
+	for i, s := range refs {
+		if len(s) == 0 {
+			return fmt.Errorf("dataset: strand %d is empty and cannot be encoded", i)
+		}
+	}
 	return writeChunked(w, refs, writeChunk, func(b []byte, s dna.Strand) []byte {
 		return append(append(b, s...), '\n')
 	})

@@ -321,6 +321,20 @@ func TestWriteRefusesEmptyStrand(t *testing.T) {
 	}
 }
 
+// TestWriteRefsRefusesEmptyStrand: an empty strand's blank line would be
+// skipped by ReadRefs, misaligning every later strand, so WriteRefs must
+// refuse it by index before writing anything.
+func TestWriteRefsRefusesEmptyStrand(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteRefs(&buf, []dna.Strand{"ACGTAACGAC", "", "TTTTAAAACC"})
+	if err == nil || !strings.Contains(err.Error(), "strand 1 is empty") {
+		t.Errorf("WriteRefs error = %v, want one naming strand 1", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("WriteRefs wrote %d bytes before failing", buf.Len())
+	}
+}
+
 // randomDataset returns n clusters of 110-base references, each with 0 to
 // 20 reads of 100 to 120 bases.
 func randomDataset(n int, seed uint64) *Dataset {
