@@ -337,3 +337,20 @@ func TestKindMismatch(t *testing.T) {
 		t.Errorf("matching kind rejected: %v", err)
 	}
 }
+
+// TestWriteFrameAllocs gates the frame encoder exactly: one exact-size
+// frame slice, no buffer growth and nothing per codeword.
+func TestWriteFrameAllocs(t *testing.T) {
+	payload := pinPayload(130*1024, 5)
+	w, err := NewWriter(io.Discard, KindPool, Options{Parity: DefaultParity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if err := w.WriteFrame("pool.json", payload); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 1 {
+		t.Errorf("%v allocs per 130 KB WriteFrame, want 1", a)
+	}
+}
