@@ -121,10 +121,7 @@ func (t ReadTruncation) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, s
 	if !r.Bool(t.P) || readLen < 2 {
 		return dst
 	}
-	minFrac := t.MinFrac
-	if minFrac <= 0 || minFrac >= 1 {
-		minFrac = 0.2
-	}
+	minFrac := t.minFrac()
 	frac := minFrac + r.Float64()*(1-minFrac)
 	n := int(frac * float64(readLen))
 	if n < 1 {
@@ -136,9 +133,19 @@ func (t ReadTruncation) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, s
 	return dst[:start+n]
 }
 
-// Name implements Channel.
+// minFrac returns the effective MinFrac: the default 0.2 when it is
+// unset or outside (0, 1).
+func (t ReadTruncation) minFrac() float64 {
+	if t.MinFrac <= 0 || t.MinFrac >= 1 {
+		return 0.2
+	}
+	return t.MinFrac
+}
+
+// Name implements Channel. It renders the effective MinFrac, so two
+// truncations that cut differently never share a name.
 func (t ReadTruncation) Name() string {
-	return fmt.Sprintf("%s+truncate(%.3f)", t.Base.Name(), t.P)
+	return fmt.Sprintf("%s+truncate(%.3f:%.3f)", t.Base.Name(), t.P, t.minFrac())
 }
 
 // ContaminationSpike wraps a Channel and replaces reads with contamination

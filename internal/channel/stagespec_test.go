@@ -164,6 +164,29 @@ func TestParseFaultsCanonical(t *testing.T) {
 	}
 }
 
+// TestReadTruncationNameRendersMinFrac: the truncate directive's channel
+// name carries the effective minimum fraction, so a bare truncate=P names
+// the default 0.2 and two different minimums get different names.
+func TestReadTruncationNameRendersMinFrac(t *testing.T) {
+	name := func(spec string) string {
+		list, err := ParseFaults(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, _ := list.Bind(NewNaive("n", Rates{Sub: 0.01}), FixedCoverage(4))
+		return ch.Name()
+	}
+	if a, b := name("truncate=0.3"), name("truncate=0.3:0.2"); a != b {
+		t.Errorf("truncate=0.3 named %q, truncate=0.3:0.2 named %q; the default minimum is 0.2", a, b)
+	}
+	if a, b := name("truncate=0.3:0.4"), name("truncate=0.3:0.9"); a == b {
+		t.Errorf("truncate=0.3:0.4 and truncate=0.3:0.9 share the name %q", a)
+	}
+	if got, want := name("truncate=0.3:0.4"), "n+truncate(0.300:0.400)"; got != want {
+		t.Errorf("name = %q, want %q", got, want)
+	}
+}
+
 // FuzzParseStages hardens the stages field of the channel grammar.
 // Arbitrary strings must either parse into a list that round-trips
 // through String() and builds, or error cleanly with the zero value;
