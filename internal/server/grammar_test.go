@@ -23,7 +23,7 @@ const pinFaults = "dropout=0.05,truncate=0.3:0.4,contam=0.1,zerocov=10:5"
 // every fault directive, under 1 and 4 simulation workers.
 func TestStagedFaultedSpecGolden(t *testing.T) {
 	const (
-		wantDescribe = "channel=dnasimd-staged+contam(0.100)+truncate(0.300) coverage=negbin(μ=8.0,k=2.5)+pool(pcr→storage)+dropout(0.050)+zerocov(10:5)"
+		wantDescribe = "channel=dnasimd-staged+contam(0.100)+truncate(0.300:0.400) coverage=negbin(μ=8.0,k=2.5)+pool(pcr→storage)+dropout(0.050)+zerocov(10:5)"
 		wantHash     = "8cb9cf9be926bfc3f5312bbed6be109c"
 	)
 	sp := SimulateSpec{NumRefs: 40, RefLen: 110, Seed: 53, Stages: drillStages, Faults: pinFaults,
@@ -69,7 +69,7 @@ func pinHash(t *testing.T, sim channel.Simulator, sp *SimulateSpec) string {
 // TestFaultDirectivesDescribePinned pins the Describe string of all four
 // fault directives over the naive model.
 func TestFaultDirectivesDescribePinned(t *testing.T) {
-	const want = "channel=dnasimd+contam(0.100)+truncate(0.300) coverage=negbin(μ=8.0,k=2.5)+dropout(0.050)+zerocov(10:5)"
+	const want = "channel=dnasimd+contam(0.100)+truncate(0.300:0.400) coverage=negbin(μ=8.0,k=2.5)+dropout(0.050)+zerocov(10:5)"
 	sp := SimulateSpec{NumRefs: 4, RefLen: 40, Sub: 0.01, Faults: pinFaults, Coverage: 8, CoverageModel: "negbin"}
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
