@@ -37,54 +37,43 @@ func (p *Pool) SaveFile(path string) error {
 // silently repaired in memory when bit rot is within the parity budget);
 // files without the container magic fall back to the legacy bare-JSON
 // loader and return legacy=true so callers can nudge the operator to
-// re-save.
+// re-save. The file is opened once and read in one pass (a legacy file is
+// re-read from its start after the container sniff).
 func LoadFile(path string) (p *Pool, legacy bool, err error) {
-	frames, err := durable.ReadContainerFile(path, durable.KindPool)
-	if errors.Is(err, durable.ErrNotContainer) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		p, err := Load(f)
-		if err != nil {
-			return nil, true, err
-		}
-		return p, true, nil
-	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
-	for _, fr := range frames {
-		if fr.Name == poolFrame {
-			p, err := Load(bytes.NewReader(fr.Payload))
-			return p, false, err
-		}
+	defer f.Close()
+	p, legacy, err = load(f)
+	if err != nil {
+		return nil, legacy, fmt.Errorf("store: %s: %w", path, err)
 	}
-	return nil, false, fmt.Errorf("store: %s has no %q section", path, poolFrame)
+	return p, legacy, nil
 }
 
-// LoadReader loads a pool from an in-memory stream, sniffing container
-// versus legacy JSON the same way LoadFile does. It exists for callers
-// (and fuzzers) that do not have a file.
-func LoadReader(r io.Reader) (*Pool, bool, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, false, err
-	}
-	_, frames, err := durable.ReadAll(bytes.NewReader(data))
+// load sniffs container versus legacy JSON and decodes either; a
+// container must be a pool container holding the pool section.
+func load(r io.ReadSeeker) (*Pool, bool, error) {
+	kind, frames, err := durable.ReadAll(r)
 	if errors.Is(err, durable.ErrNotContainer) {
-		p, err := Load(bytes.NewReader(data))
+		if _, err := r.Seek(0, io.SeekStart); err != nil {
+			return nil, true, err
+		}
+		p, err := Load(r)
 		return p, true, err
 	}
 	if err != nil {
 		return nil, false, err
 	}
+	if kind != durable.KindPool {
+		return nil, false, fmt.Errorf("holds a %s container, want %s", kind, durable.KindPool)
+	}
 	for _, fr := range frames {
 		if fr.Name == poolFrame {
 			p, err := Load(bytes.NewReader(fr.Payload))
 			return p, false, err
 		}
 	}
-	return nil, false, fmt.Errorf("store: container has no %q section", poolFrame)
+	return nil, false, fmt.Errorf("container has no %q section", poolFrame)
 }

@@ -135,3 +135,25 @@ func TestPoolFileDetectsTornWrite(t *testing.T) {
 		t.Fatal("torn pool file loaded silently")
 	}
 }
+
+// TestPoolFileRejectsOtherKind: a container of another kind is refused
+// even when it holds a pool section, and the error names the file.
+func TestPoolFileRejectsOtherKind(t *testing.T) {
+	p := filePool(t)
+	var snap bytes.Buffer
+	if err := p.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "profile.dnac")
+	if err := durable.WriteContainerFile(path, durable.KindProfile, durable.Options{Parity: durable.DefaultParity},
+		func(w *durable.Writer) error { return w.WriteFrame(poolFrame, snap.Bytes()) }); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := LoadFile(path)
+	if err == nil {
+		t.Fatal("profile container loaded as a pool")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "profile container") {
+		t.Errorf("error = %q, want the path and the container kind", err)
+	}
+}
