@@ -147,3 +147,32 @@ func TestAffineEmptyStrings(t *testing.T) {
 		t.Errorf("empty-empty = %+v, %v", ops2, err)
 	}
 }
+
+// AffineCost returns the affine alignment cost of ref → read, scored from
+// AffineScript's script — the oracle of TestAffineCost.
+func AffineCost(ref, read string, p AffineParams) (int, error) {
+	ops, err := AffineScript(ref, read, p)
+	if err != nil {
+		return 0, err
+	}
+	cost := 0
+	prev := Equal
+	for _, op := range ops {
+		switch op.Kind {
+		case Sub:
+			cost += p.Mismatch
+		case Del:
+			if prev != Del {
+				cost += p.GapOpen
+			}
+			cost += p.GapExtend
+		case Ins:
+			if prev != Ins {
+				cost += p.GapOpen
+			}
+			cost += p.GapExtend
+		}
+		prev = op.Kind
+	}
+	return cost, nil
+}

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -850,4 +851,52 @@ func BenchmarkGestaltBlocks110(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatchingBlocks(x, y)
 	}
+}
+
+// Apply replays an edit script against ref and returns the resulting read —
+// the oracle the script tests check extraction against. It returns an
+// error if the script does not consume ref exactly.
+func Apply(ref string, ops []Op) (string, error) {
+	out := make([]byte, 0, len(ref))
+	i := 0
+	for _, op := range ops {
+		switch op.Kind {
+		case Equal:
+			if i >= len(ref) || ref[i] != op.RefBase {
+				return "", fmt.Errorf("align: Equal op at ref pos %d does not match reference", i)
+			}
+			out = append(out, ref[i])
+			i++
+		case Sub:
+			if i >= len(ref) {
+				return "", fmt.Errorf("align: Sub op beyond reference end")
+			}
+			out = append(out, op.ReadBase)
+			i++
+		case Del:
+			if i >= len(ref) {
+				return "", fmt.Errorf("align: Del op beyond reference end")
+			}
+			i++
+		case Ins:
+			out = append(out, op.ReadBase)
+		default:
+			return "", fmt.Errorf("align: unknown op kind %v", op.Kind)
+		}
+	}
+	if i != len(ref) {
+		return "", fmt.Errorf("align: script consumed %d of %d reference bases", i, len(ref))
+	}
+	return string(out), nil
+}
+
+// CostOf returns the number of non-Equal operations in a script.
+func CostOf(ops []Op) int {
+	n := 0
+	for _, op := range ops {
+		if op.Kind != Equal {
+			n++
+		}
+	}
+	return n
 }

@@ -574,13 +574,3 @@ func (m *Model) secondOrderMults(length int) [][]float64 {
 	}
 	return out
 }
-
-// planStats reports cache contents for tests: the number of compiled
-// lengths currently installed.
-func (m *Model) planStats() int {
-	cur := m.plans.Load()
-	if cur == nil {
-		return 0
-	}
-	return len(*cur)
-}

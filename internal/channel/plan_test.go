@@ -378,3 +378,13 @@ func TestCheckpointResumeSecondOrderByteIdentical(t *testing.T) {
 		t.Errorf("resumed dataset hash %s != straight-run hash %s", got, want)
 	}
 }
+
+// planStats reports cache contents for tests: the number of compiled
+// lengths currently installed.
+func (m *Model) planStats() int {
+	cur := m.plans.Load()
+	if cur == nil {
+		return 0
+	}
+	return len(*cur)
+}

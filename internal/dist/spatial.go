@@ -351,18 +351,6 @@ func checkArgs(length int, rate float64) {
 	}
 }
 
-// Mean returns the arithmetic mean of a rate vector; 0 for empty input.
-func Mean(rates []float64) float64 {
-	if len(rates) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, r := range rates {
-		sum += r
-	}
-	return sum / float64(len(rates))
-}
-
 // ByName returns the built-in spatial distribution with the given name, for
 // CLI flag parsing. Known names: uniform, a-shape, v-shape, terminal-skew.
 func ByName(name string) (Spatial, error) {

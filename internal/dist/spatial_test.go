@@ -313,3 +313,15 @@ func TestResampleDownMassConservationQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Mean returns the arithmetic mean of a rate vector; 0 for empty input.
+func Mean(rates []float64) float64 {
+	if len(rates) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, r := range rates {
+		sum += r
+	}
+	return sum / float64(len(rates))
+}

@@ -1,6 +1,7 @@
 // Package dna provides the fundamental types of the DNA storage channel:
 // bases, strands, and the sequence utilities (GC-ratio, homopolymer
-// analysis, complements, k-mers) that the rest of the simulator builds on.
+// analysis, base complement, reversal) that the rest of the simulator
+// builds on.
 //
 // A DNA strand is modelled as a byte string over the alphabet {A, C, G, T}.
 // Strands are represented as Go strings for immutability and cheap slicing;
@@ -47,9 +48,6 @@ func (b Base) Byte() byte { return baseLetters[b&3] }
 
 // String returns the single-letter name of the base.
 func (b Base) String() string { return string(baseLetters[b&3]) }
-
-// Valid reports whether b is one of the four defined bases.
-func (b Base) Valid() bool { return b < NumBases }
 
 // Complement returns the Watson–Crick complement: A<->T, C<->G.
 func (b Base) Complement() Base {
@@ -102,14 +100,8 @@ func (s Strand) At(i int) Base {
 	return Base(v - 1)
 }
 
-// Bases returns the strand as a slice of Base values.
-// It panics on invalid bytes; call Validate first on untrusted input.
-func (s Strand) Bases() []Base {
-	return s.AppendBases(make([]Base, 0, len(s)))
-}
-
 // AppendBases appends the strand's base codes to dst and returns the
-// extended slice — the reuse-friendly form of Bases. Pass a scratch
+// extended slice. Pass a scratch
 // dst[:0] to convert a strand once per cluster without allocating, so hot
 // loops can index 2-bit codes instead of re-decoding ASCII per read.
 // It panics on invalid bytes; call Validate first on untrusted input.
@@ -155,32 +147,13 @@ func FromBases(bs []Base) Strand {
 }
 
 // Reverse returns the strand with base order reversed (not the reverse
-// complement; see ReverseComplement).
+// complement).
 func (s Strand) Reverse() Strand {
 	b := []byte(s)
 	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
 		b[i], b[j] = b[j], b[i]
 	}
 	return Strand(b)
-}
-
-// Complement returns the base-wise Watson–Crick complement of the strand.
-func (s Strand) Complement() Strand {
-	b := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		v := letterBases[s[i]]
-		if v == 0 {
-			panic(fmt.Sprintf("dna: invalid base %q at position %d", s[i], i))
-		}
-		b[i] = Base(v - 1).Complement().Byte()
-	}
-	return Strand(b)
-}
-
-// ReverseComplement returns the reverse complement, the sequence read from
-// the opposite DNA strand.
-func (s Strand) ReverseComplement() Strand {
-	return s.Complement().Reverse()
 }
 
 // GCRatio returns the fraction of G and C bases in the strand, in [0,1].
@@ -197,18 +170,6 @@ func (s Strand) GCRatio() float64 {
 		}
 	}
 	return float64(gc) / float64(len(s))
-}
-
-// Count returns the number of occurrences of base b in the strand.
-func (s Strand) Count(b Base) int {
-	n := 0
-	c := b.Byte()
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			n++
-		}
-	}
-	return n
 }
 
 // Homopolymer describes a maximal run of a single repeated base.
@@ -262,19 +223,6 @@ func (s Strand) MaxHomopolymerLen() int {
 // longer than limit.
 func (s Strand) HasHomopolymerOver(limit int) bool {
 	return s.MaxHomopolymerLen() > limit
-}
-
-// KmerCounts returns a map from every k-length substring to its number of
-// occurrences. It returns an empty map when k <= 0 or k > len(s).
-func (s Strand) KmerCounts(k int) map[Strand]int {
-	counts := make(map[Strand]int)
-	if k <= 0 || k > len(s) {
-		return counts
-	}
-	for i := 0; i+k <= len(s); i++ {
-		counts[s[i:i+k]]++
-	}
-	return counts
 }
 
 // Repeat returns the strand consisting of n copies of base b.

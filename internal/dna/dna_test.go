@@ -94,18 +94,18 @@ func TestStrandAtAndBases(t *testing.T) {
 			t.Errorf("At(%d) = %v, want %v", i, s.At(i), w)
 		}
 	}
-	got := s.Bases()
+	got := s.AppendBases(nil)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Bases()[%d] = %v, want %v", i, got[i], want[i])
+			t.Errorf("AppendBases(nil)[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
 func TestFromBasesRoundTrip(t *testing.T) {
 	s := Strand("GATTACA")
-	if got := FromBases(s.Bases()); got != s {
-		t.Errorf("FromBases(Bases()) = %q, want %q", got, s)
+	if got := FromBases(s.AppendBases(nil)); got != s {
+		t.Errorf("FromBases(AppendBases(nil)) = %q, want %q", got, s)
 	}
 }
 
@@ -118,12 +118,6 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestReverseComplement(t *testing.T) {
-	if got := Strand("AACG").ReverseComplement(); got != "CGTT" {
-		t.Errorf("ReverseComplement = %q, want CGTT", got)
-	}
-}
-
 func TestReverseIsInvolutionQuick(t *testing.T) {
 	f := func(raw []uint8) bool {
 		bs := make([]Base, len(raw))
@@ -131,7 +125,7 @@ func TestReverseIsInvolutionQuick(t *testing.T) {
 			bs[i] = Base(r % NumBases)
 		}
 		s := FromBases(bs)
-		return s.Reverse().Reverse() == s && s.ReverseComplement().ReverseComplement() == s
+		return s.Reverse().Reverse() == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -153,16 +147,6 @@ func TestGCRatio(t *testing.T) {
 		if got := c.s.GCRatio(); got != c.want {
 			t.Errorf("GCRatio(%q) = %v, want %v", c.s, got, c.want)
 		}
-	}
-}
-
-func TestCount(t *testing.T) {
-	s := Strand("AACGTA")
-	if got := s.Count(A); got != 3 {
-		t.Errorf("Count(A) = %d, want 3", got)
-	}
-	if got := s.Count(G); got != 1 {
-		t.Errorf("Count(G) = %d, want 1", got)
 	}
 }
 
@@ -249,20 +233,6 @@ func TestHomopolymersCoverStrandQuick(t *testing.T) {
 	}
 }
 
-func TestKmerCounts(t *testing.T) {
-	s := Strand("AAAT")
-	counts := s.KmerCounts(2)
-	if counts["AA"] != 2 || counts["AT"] != 1 {
-		t.Errorf("KmerCounts = %v", counts)
-	}
-	if len(s.KmerCounts(0)) != 0 {
-		t.Error("KmerCounts(0) should be empty")
-	}
-	if len(s.KmerCounts(5)) != 0 {
-		t.Error("KmerCounts(k>len) should be empty")
-	}
-}
-
 func TestRepeat(t *testing.T) {
 	if got := Repeat(G, 4); got != "GGGG" {
 		t.Errorf("Repeat(G,4) = %q", got)
@@ -279,12 +249,6 @@ func TestStrandAtPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	Strand("N").At(0)
-}
-
-func TestComplementStrand(t *testing.T) {
-	if got := Strand("ACGT").Complement(); got != "TGCA" {
-		t.Errorf("Complement = %q, want TGCA", got)
-	}
 }
 
 func TestStrandStringsAreComparable(t *testing.T) {

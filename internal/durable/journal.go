@@ -148,7 +148,7 @@ func (j *Journal) Append(name string, payload []byte) error {
 // lose every frame since the last synced write — OpenJournal's torn-tail
 // scan discards the loss cleanly — so this is only for frames whose
 // content the owner can re-derive (progress hints, not commitments). A
-// later Append, Sync, or Close makes the frame durable.
+// later Append or Close makes the frame durable.
 func (j *Journal) AppendNoSync(name string, payload []byte) error {
 	frame, err := encodeFrame(name, payload, j.parity, j.rs)
 	if err != nil {
@@ -161,16 +161,6 @@ func (j *Journal) AppendNoSync(name string, payload []byte) error {
 	}
 	_, err = j.f.Write(frame)
 	return err
-}
-
-// Sync forces every written frame to disk.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return os.ErrClosed
-	}
-	return j.f.Sync()
 }
 
 // Close syncs and closes the journal file.

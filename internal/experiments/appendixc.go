@@ -82,13 +82,3 @@ func AppendixCSummary(wb *Workbench, n int) (Table, error) {
 	}
 	return t, nil
 }
-
-// channelTierNames lists the tier labels in evaluation order; exposed for
-// table-reading tests.
-func channelTierNames(wb *Workbench) []string {
-	out := []string{"Nanopore"}
-	for _, tier := range wb.Profile.Tiers(10) {
-		out = append(out, tier.Name())
-	}
-	return out
-}

@@ -57,3 +57,13 @@ func TestAppendixCSummaryConvergence(t *testing.T) {
 		t.Errorf("BMA residual profile χ²: final tier %.4f not below naive %.4f", finalBMA, naiveBMA)
 	}
 }
+
+// channelTierNames lists the tier labels in evaluation order, for
+// table-reading tests.
+func channelTierNames(wb *Workbench) []string {
+	out := []string{"Nanopore"}
+	for _, tier := range wb.Profile.Tiers(10) {
+		out = append(out, tier.Name())
+	}
+	return out
+}

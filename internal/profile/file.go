@@ -2,9 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"os"
 
 	"dnastore/internal/durable"
 )
@@ -25,33 +22,4 @@ func (p *ErrorProfile) WriteFile(path string) error {
 			}
 			return w.WriteFrame(profileFrame, buf.Bytes())
 		})
-}
-
-// ReadFile reads a profile from path, accepting both durable containers
-// (verified, parity-repaired) and legacy bare-JSON files; legacy reports
-// which one was found.
-func ReadFile(path string) (p *ErrorProfile, legacy bool, err error) {
-	frames, err := durable.ReadContainerFile(path, durable.KindProfile)
-	if errors.Is(err, durable.ErrNotContainer) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, false, err
-		}
-		defer f.Close()
-		p, err := ReadJSON(f)
-		if err != nil {
-			return nil, true, err
-		}
-		return p, true, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	for _, fr := range frames {
-		if fr.Name == profileFrame {
-			p, err := ReadJSON(bytes.NewReader(fr.Payload))
-			return p, false, err
-		}
-	}
-	return nil, false, fmt.Errorf("profile: %s has no %q section", path, profileFrame)
 }

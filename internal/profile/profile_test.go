@@ -48,24 +48,40 @@ func TestProfileCleanChannel(t *testing.T) {
 }
 
 func TestProfileRecoversAggregateRates(t *testing.T) {
-	truth := channel.Rates{Sub: 0.03, Ins: 0.01, Del: 0.02}
-	ds := simulate(channel.NewNaive("n", truth), 300, 110, 10, 2)
-	p, err := Profile(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := p.Rates()
-	if math.Abs(got.Sub-truth.Sub) > 0.004 {
-		t.Errorf("sub = %v, want %v", got.Sub, truth.Sub)
-	}
-	if math.Abs(got.Ins-truth.Ins) > 0.004 {
-		t.Errorf("ins = %v, want %v", got.Ins, truth.Ins)
-	}
-	if math.Abs(got.Del-truth.Del) > 0.004 {
-		t.Errorf("del = %v, want %v", got.Del, truth.Del)
-	}
-	if math.Abs(p.AggregateRate()-0.06) > 0.008 {
-		t.Errorf("aggregate = %v", p.AggregateRate())
+	// The second input has the shape of a cleaner technology: 0.5%
+	// aggregate, substitution-dominant and transition-biased, with a mild
+	// quality ramp at both read ends.
+	clean := channel.NewNaive("clean", channel.Rates{Sub: 0.004, Ins: 0.0004, Del: 0.0006})
+	clean.SubMatrix = channel.TransitionBiasedSubMatrix(0.6)
+	for _, c := range []struct {
+		ch       channel.Channel
+		truth    channel.Rates
+		tol, agg float64
+	}{
+		{channel.NewNaive("n", channel.Rates{Sub: 0.03, Ins: 0.01, Del: 0.02}),
+			channel.Rates{Sub: 0.03, Ins: 0.01, Del: 0.02}, 0.004, 0.008},
+		{clean.WithSpatial(dist.TerminalSkew{StartPositions: 3, EndPositions: 8, StartBoost: 2, EndBoost: 3}),
+			channel.Rates{Sub: 0.004, Ins: 0.0004, Del: 0.0006}, 0.0005, 0.0015},
+	} {
+		ds := simulate(c.ch, 300, 110, 10, 2)
+		p, err := Profile(ds, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, name := p.Rates(), c.ch.Name()
+		if math.Abs(got.Sub-c.truth.Sub) > c.tol {
+			t.Errorf("%s: sub = %v, want %v", name, got.Sub, c.truth.Sub)
+		}
+		if math.Abs(got.Ins-c.truth.Ins) > c.tol {
+			t.Errorf("%s: ins = %v, want %v", name, got.Ins, c.truth.Ins)
+		}
+		if math.Abs(got.Del-c.truth.Del) > c.tol {
+			t.Errorf("%s: del = %v, want %v", name, got.Del, c.truth.Del)
+		}
+		want := c.truth.Sub + c.truth.Ins + c.truth.Del
+		if math.Abs(p.AggregateRate()-want) > c.agg {
+			t.Errorf("%s: aggregate = %v, want %v", name, p.AggregateRate(), want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"dnastore/internal/align"
@@ -10,9 +9,10 @@ import (
 )
 
 // JSON serialization of calibrated profiles, so an expensive profiling run
-// over a large dataset can be stored alongside the data and reloaded by
-// later simulations (the workflow of shipping "error dictionaries" that
-// DNASimulator hard-codes — except fitted, versioned and reproducible).
+// over a large dataset can be stored alongside the data for external
+// analysis (the "error dictionaries" that DNASimulator hard-codes — except
+// fitted, versioned and reproducible). No program reads a profile back:
+// dnasim -calibrate re-profiles its dataset on every run.
 
 // serialProfile is the stable on-disk form of an ErrorProfile. Fields use
 // explicit JSON names so the format survives internal refactors.
@@ -92,82 +92,4 @@ func (p *ErrorProfile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sp)
-}
-
-// ReadJSON deserialises a profile written by WriteJSON.
-func ReadJSON(r io.Reader) (*ErrorProfile, error) {
-	var sp serialProfile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("profile: decode: %w", err)
-	}
-	if sp.Version != currentVersion {
-		return nil, fmt.Errorf("profile: unsupported format version %d", sp.Version)
-	}
-	if sp.StrandLen <= 0 {
-		return nil, fmt.Errorf("profile: invalid strand length %d", sp.StrandLen)
-	}
-	p := &ErrorProfile{
-		StrandLen:      sp.StrandLen,
-		Reads:          sp.Reads,
-		RefBases:       sp.RefBases,
-		SubCount:       sp.SubCount,
-		InsCount:       sp.InsCount,
-		DelCount:       sp.DelCount,
-		LongDelStarts:  sp.LongDelStarts,
-		LongDelBases:   sp.LongDelBases,
-		HomoBases:      sp.HomoBases,
-		HomoErrors:     sp.HomoErrors,
-		BaseCounts:     sp.BaseCounts,
-		SubPerBase:     sp.SubPerBase,
-		InsPerBase:     sp.InsPerBase,
-		DelPerBase:     sp.DelPerBase,
-		InsBases:       sp.InsBases,
-		LongDelLengths: sp.LongDelLengths,
-		Spatial:        sp.Spatial,
-	}
-	if len(sp.SubMatrix) != dna.NumBases {
-		return nil, fmt.Errorf("profile: substitution matrix has %d rows", len(sp.SubMatrix))
-	}
-	for b := 0; b < dna.NumBases; b++ {
-		if len(sp.SubMatrix[b]) != dna.NumBases {
-			return nil, fmt.Errorf("profile: substitution matrix row %d has %d columns", b, len(sp.SubMatrix[b]))
-		}
-		for c := 0; c < dna.NumBases; c++ {
-			p.SubMatrix[b][c] = sp.SubMatrix[b][c]
-		}
-	}
-	if len(p.Spatial) != p.StrandLen+1 {
-		return nil, fmt.Errorf("profile: spatial histogram length %d != %d", len(p.Spatial), p.StrandLen+1)
-	}
-	for _, row := range sp.SecondOrder {
-		s := SecondOrderStat{Count: row.Count, Spatial: row.Spatial}
-		switch row.Kind {
-		case "sub":
-			s.Kind = align.Sub
-		case "del":
-			s.Kind = align.Del
-		case "ins":
-			s.Kind = align.Ins
-		default:
-			return nil, fmt.Errorf("profile: unknown second-order kind %q", row.Kind)
-		}
-		if row.From != "" {
-			b, err := dna.BaseFromByte(row.From[0])
-			if err != nil {
-				return nil, err
-			}
-			s.From = b
-		}
-		if row.To != "" {
-			b, err := dna.BaseFromByte(row.To[0])
-			if err != nil {
-				return nil, err
-			}
-			s.To = b
-		}
-		p.SecondOrder = append(p.SecondOrder, s)
-	}
-	return p, nil
 }

@@ -66,7 +66,7 @@ const batchCap = 256
 const batchRefill = 64
 
 // Batch is a buffered view of an RNG's Uint64 stream with exact draw
-// parity: the values returned by Uint64/Float64/Intn are identical,
+// parity: the values returned by Uint64/Intn are identical,
 // call-for-call, to the ones the underlying generator would have produced
 // directly, and Unbind backsteps the generator past any over-filled draws
 // so its stream position is also identical. The buffer is inline, so a
@@ -115,12 +115,6 @@ func (b *Batch) Uint64() uint64 {
 	}
 	b.i = i + 1
 	return b.buf[i]
-}
-
-// Float64 returns a uniform float64 in [0, 1), bit-identical to
-// RNG.Float64 on the same stream position.
-func (b *Batch) Float64() float64 {
-	return float64(b.Uint64()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform int in [0, n), consuming exactly the words

@@ -1,5 +1,5 @@
-// Package rng provides a deterministic, splittable random number generator
-// and the distribution samplers used throughout the simulator.
+// Package rng provides a deterministic random number generator and the
+// distribution samplers used throughout the simulator.
 //
 // Everything stochastic in this repository draws from an *RNG seeded
 // explicitly by the caller, so that every experiment, test and benchmark is
@@ -11,7 +11,9 @@ package rng
 import "math"
 
 // RNG is a deterministic pseudo-random generator. It is not safe for
-// concurrent use; use Split to derive independent generators per goroutine.
+// concurrent use; give each goroutine its own, seeded with New (the
+// simulator seeds each cluster's generator from the run seed and the
+// cluster index).
 type RNG struct {
 	s [4]uint64
 	// cached spare normal deviate for Box–Muller
@@ -57,12 +59,6 @@ func (r *RNG) Uint64() uint64 {
 	r.s[2] ^= t
 	r.s[3] = rotl(r.s[3], 45)
 	return result
-}
-
-// Split derives a new generator whose stream is independent of the parent's
-// future output. The parent advances by one step.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -121,16 +117,8 @@ func (r *RNG) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.ShuffleInts(p)
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-// ShuffleInts permutes the slice uniformly at random in place.
-func (r *RNG) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
 }
 
 // Shuffle permutes n elements using the provided swap function.

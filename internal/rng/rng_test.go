@@ -28,23 +28,6 @@ func TestDistinctSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	// Child stream should not replicate the parent stream.
-	p2 := New(7)
-	p2.Uint64() // advance past the split draw
-	same := 0
-	for i := 0; i < 100; i++ {
-		if child.Uint64() == p2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("child replicates parent stream (%d collisions)", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -3,15 +3,14 @@ package seqio
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"dnastore/internal/dataset"
 )
 
-// Dataset bridging: a clustered dataset exports as a FASTA of references
-// plus a FASTQ of reads whose IDs encode the cluster assignment
-// ("cluster-<index>/read-<k>"), and imports back losslessly.
+// Dataset export: a clustered dataset writes as a FASTA of references plus
+// a FASTQ of reads whose IDs encode the cluster assignment
+// ("cluster-<index>/read-<k>").
 
 // DatasetToFASTA returns the dataset's references as FASTA records named
 // "ref-<index>".
@@ -46,46 +45,4 @@ func WriteDataset(refW, readW io.Writer, ds *dataset.Dataset, qual int) error {
 		return err
 	}
 	return WriteFASTQ(readW, DatasetToFASTQ(ds, qual), qual)
-}
-
-// ReadDataset reconstructs a dataset from a reference FASTA and a read
-// FASTQ produced by WriteDataset. Reads whose IDs do not carry a cluster
-// assignment are rejected.
-func ReadDataset(refR, readR io.Reader) (*dataset.Dataset, error) {
-	refs, err := ReadFASTA(refR)
-	if err != nil {
-		return nil, err
-	}
-	ds := &dataset.Dataset{Clusters: make([]dataset.Cluster, len(refs))}
-	for i, rec := range refs {
-		ds.Clusters[i].Ref = rec.Seq
-	}
-	reads, err := ReadFASTQ(readR)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range reads {
-		idx, err := clusterIndex(rec.ID)
-		if err != nil {
-			return nil, err
-		}
-		if idx < 0 || idx >= len(ds.Clusters) {
-			return nil, fmt.Errorf("seqio: read %q references cluster %d of %d", rec.ID, idx, len(ds.Clusters))
-		}
-		ds.Clusters[idx].Reads = append(ds.Clusters[idx].Reads, rec.Seq)
-	}
-	return ds, nil
-}
-
-// clusterIndex extracts <i> from "cluster-<i>/read-<k>".
-func clusterIndex(id string) (int, error) {
-	rest, ok := strings.CutPrefix(id, "cluster-")
-	if !ok {
-		return 0, fmt.Errorf("seqio: read ID %q lacks cluster assignment", id)
-	}
-	num, _, ok := strings.Cut(rest, "/")
-	if !ok {
-		return 0, fmt.Errorf("seqio: read ID %q lacks cluster assignment", id)
-	}
-	return strconv.Atoi(num)
 }

@@ -1,8 +1,8 @@
-// Package seqio reads and writes the interchange formats of the sequencing
-// world: FASTA for reference strands and FASTQ for reads (real pipelines
-// receive sequencer output as FASTQ). It lets the simulator's datasets
-// flow to and from external tools — aligners, basecallers, plotting
-// scripts — without bespoke converters.
+// Package seqio writes the interchange formats of the sequencing world:
+// FASTA for reference strands and FASTQ for reads (real pipelines receive
+// sequencer output as FASTQ). It lets the simulator's datasets flow to
+// external tools — aligners, basecallers, plotting scripts — without
+// bespoke converters.
 package seqio
 
 import (
@@ -61,60 +61,6 @@ func WriteFASTA(w io.Writer, records []Record, width int) error {
 	return bw.Flush()
 }
 
-// ReadFASTA parses FASTA records, concatenating wrapped sequence lines and
-// validating the alphabet.
-func ReadFASTA(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var records []Record
-	var cur *Record
-	var seq strings.Builder
-	line := 0
-	flush := func() error {
-		if cur == nil {
-			return nil
-		}
-		s := dna.Strand(seq.String())
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("seqio: record %q: %w", cur.ID, err)
-		}
-		cur.Seq = s
-		records = append(records, *cur)
-		cur = nil
-		seq.Reset()
-		return nil
-	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		switch {
-		case text == "":
-			continue
-		case strings.HasPrefix(text, ">"):
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			id, desc := splitHeader(text[1:])
-			if id == "" {
-				return nil, fmt.Errorf("seqio: line %d: empty FASTA header", line)
-			}
-			cur = &Record{ID: id, Desc: desc}
-		default:
-			if cur == nil {
-				return nil, fmt.Errorf("seqio: line %d: sequence before first header", line)
-			}
-			seq.WriteString(text)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return records, nil
-}
-
 // WriteFASTQ writes records in four-line FASTQ format. Records without
 // quality bytes are assigned a constant quality derived from qualDefault
 // (Phred score, e.g. 20 → '5').
@@ -145,66 +91,4 @@ func WriteFASTQ(w io.Writer, records []Record, qualDefault int) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadFASTQ parses four-line FASTQ records, validating sequence alphabet
-// and quality length.
-func ReadFASTQ(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var records []Record
-	line := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			line++
-			text := strings.TrimSpace(sc.Text())
-			if text != "" {
-				return text, true
-			}
-		}
-		return "", false
-	}
-	for {
-		header, ok := next()
-		if !ok {
-			break
-		}
-		if !strings.HasPrefix(header, "@") {
-			return nil, fmt.Errorf("seqio: line %d: expected '@' header, got %q", line, header)
-		}
-		seqLine, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("seqio: truncated FASTQ record at line %d", line)
-		}
-		plus, ok := next()
-		if !ok || !strings.HasPrefix(plus, "+") {
-			return nil, fmt.Errorf("seqio: line %d: expected '+' separator", line)
-		}
-		qualLine, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("seqio: truncated FASTQ record at line %d", line)
-		}
-		seq := dna.Strand(seqLine)
-		if err := seq.Validate(); err != nil {
-			return nil, fmt.Errorf("seqio: line %d: %w", line, err)
-		}
-		if len(qualLine) != seq.Len() {
-			return nil, fmt.Errorf("seqio: line %d: quality length %d != sequence length %d",
-				line, len(qualLine), seq.Len())
-		}
-		id, desc := splitHeader(header[1:])
-		records = append(records, Record{ID: id, Desc: desc, Seq: seq, Qual: []byte(qualLine)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return records, nil
-}
-
-func splitHeader(h string) (id, desc string) {
-	h = strings.TrimSpace(h)
-	if i := strings.IndexByte(h, ' '); i >= 0 {
-		return h[:i], strings.TrimSpace(h[i+1:])
-	}
-	return h, ""
 }

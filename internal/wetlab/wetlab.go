@@ -145,45 +145,6 @@ func GroundTruthChannel(errorRate float64) *channel.Model {
 	return out
 }
 
-// IlluminaConfig returns the shape of a second-generation (Illumina)
-// dataset: an order of magnitude cleaner than Nanopore, substitution-
-// dominant, with tighter coverage spread — the "other technology" a
-// robust simulator must also fit (§4.3's multi-dataset recommendation).
-func IlluminaConfig() Config {
-	return Config{
-		NumClusters:  10000,
-		StrandLen:    110,
-		MeanCoverage: 30,
-		Dispersion:   8, // tighter than Nanopore's spread
-		ErrorRate:    0.005,
-		ErasureP:     0.0005,
-		Seed:         2,
-	}
-}
-
-// GroundTruthIlluminaChannel builds the channel standing in for an
-// Illumina pipeline at the given aggregate rate: substitution-dominant
-// (~80%), transition-biased, no burst deletions, a mild read-start
-// quality ramp instead of the Nanopore terminal spike.
-func GroundTruthIlluminaChannel(errorRate float64) *channel.Model {
-	m := channel.NewNaive("wetlab-illumina",
-		channel.Rates{Sub: 0.8 * errorRate, Ins: 0.08 * errorRate, Del: 0.12 * errorRate})
-	m.SubMatrix = channel.TransitionBiasedSubMatrix(0.6)
-	return m.WithSpatial(dist.TerminalSkew{
-		StartPositions: 3, EndPositions: 8, StartBoost: 2, EndBoost: 3,
-	}).WithLabel("wetlab-illumina")
-}
-
-// GenerateIllumina produces a synthetic Illumina-shaped dataset.
-func GenerateIllumina(cfg Config) (*dataset.Dataset, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	refs := channel.RandomReferences(cfg.NumClusters, cfg.StrandLen, cfg.Seed)
-	ds := cfg.simulator(GroundTruthIlluminaChannel(cfg.ErrorRate)).Simulate("Illumina", refs, cfg.Seed+0x11)
-	return ds, nil
-}
-
 // Generate produces the synthetic "real Nanopore" dataset.
 func Generate(cfg Config) (*dataset.Dataset, error) {
 	return GenerateCtx(context.Background(), cfg)
