@@ -14,12 +14,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"dnastore/internal/cluster"
 	"dnastore/internal/dataset"
 	"dnastore/internal/dna"
+	"dnastore/internal/durable"
 	"dnastore/internal/obs"
 	"dnastore/internal/rng"
 )
@@ -51,16 +53,6 @@ func main() {
 	}
 	defer f.Close()
 
-	w := os.Stdout
-	if *out != "-" {
-		of, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer of.Close()
-		w = of
-	}
-
 	if *isDataset {
 		ds, err := dataset.Read(f)
 		if err != nil {
@@ -89,7 +81,7 @@ func main() {
 		re := cluster.AssignToReferences(groups, ds.References(), *maxDist)
 		fmt.Fprintf(os.Stderr, "clusters %d (from %d reads), purity %.4f, assigned %d reads\n",
 			len(idx), len(pool), purity, re.NumReads())
-		if err := re.Write(w); err != nil {
+		if err := writeOutput(*out, re.Write); err != nil {
 			fail(err)
 		}
 		return
@@ -117,17 +109,33 @@ func main() {
 	logger.Debug("clustered", "reads", len(pool), "clusters", len(groups),
 		"elapsed", time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "clustered %d reads into %d clusters\n", len(pool), len(groups))
-	bw := bufio.NewWriter(w)
-	for i, members := range groups {
-		fmt.Fprintf(bw, "# cluster %d (%d reads)\n", i, len(members))
-		for _, m := range members {
-			fmt.Fprintln(bw, m)
+	err = writeOutput(*out, func(w io.Writer) error {
+		for i, members := range groups {
+			fmt.Fprintf(w, "# cluster %d (%d reads)\n", i, len(members))
+			for _, m := range members {
+				fmt.Fprintln(w, m)
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(bw)
-	}
-	if err := bw.Flush(); err != nil {
+		return nil // w is buffered: a write error surfaces at its flush
+	})
+	if err != nil {
 		fail(err)
 	}
+}
+
+// writeOutput writes through write to stdout for "-", else atomically to
+// path, so a run that fails — on its input or mid-write — leaves no
+// output file behind.
+func writeOutput(path string, write func(io.Writer) error) error {
+	if path != "-" {
+		return durable.WriteFileAtomic(path, write)
+	}
+	bw := bufio.NewWriter(os.Stdout)
+	if err := write(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 func fail(err error) {

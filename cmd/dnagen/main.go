@@ -10,9 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"dnastore/internal/durable"
 	"dnastore/internal/obs"
 	"dnastore/internal/seqio"
 	"dnastore/internal/wetlab"
@@ -43,39 +45,30 @@ func main() {
 	logger.Debug("dataset generated", "clusters", cfg.NumClusters, "len", cfg.StrandLen,
 		"coverage", cfg.MeanCoverage, "error_rate", cfg.ErrorRate, "seed", cfg.Seed,
 		"elapsed", time.Since(start).Round(time.Millisecond))
+	// Every file is written atomically: a dataset the format refuses (an
+	// empty read ends a cluster in the text format) leaves no file behind.
 	switch *format {
 	case "clusters":
-		w := os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := ds.Write(w); err != nil {
-			fail(err)
+		if out == "-" {
+			err = ds.Write(os.Stdout)
+		} else {
+			err = durable.WriteFileAtomic(out, ds.Write)
 		}
 	case "fastq":
 		if out == "-" {
 			fail(fmt.Errorf("-format fastq needs -o <basename>"))
 		}
-		rf, err := os.Create(out + ".fasta")
-		if err != nil {
-			fail(err)
-		}
-		defer rf.Close()
-		qf, err := os.Create(out + ".fastq")
-		if err != nil {
-			fail(err)
-		}
-		defer qf.Close()
-		if err := seqio.WriteDataset(rf, qf, ds, 12); err != nil {
-			fail(err)
-		}
+		// The FASTA commits when both halves are written, the FASTQ after it.
+		err = durable.WriteFileAtomic(out+".fastq", func(qw io.Writer) error {
+			return durable.WriteFileAtomic(out+".fasta", func(rw io.Writer) error {
+				return seqio.WriteDataset(rw, qw, ds, 12)
+			})
+		})
 	default:
-		fail(fmt.Errorf("unknown format %q", *format))
+		err = fmt.Errorf("unknown format %q", *format)
+	}
+	if err != nil {
+		fail(err)
 	}
 	fmt.Fprintln(os.Stderr, ds.ComputeStats())
 }
