@@ -34,18 +34,17 @@ verify-race:
 chaos-smoke:
 	$(GO) test -race -count=1 -timeout 5m ./internal/server/... ./internal/client/... ./internal/chaosnet/... ./internal/fleet/...
 
-# Short fuzz pass over every parser that consumes on-disk bytes: the
-# durable container reader, the pool loader, the FASTA/FASTQ parsers, the
-# cluster text format (Write→Read and raw Read), and
-# the channel grammar (one target per field: faults, then stages) — plus
-# the bit-parallel edit-distance kernel and the banded edit-script traceback,
-# each against its full-matrix oracle, and the shift-register Reed–Solomon
-# encoder and clean check against the long-division/syndrome oracle.
+# Short fuzz pass over every parser a program runs on on-disk bytes: the
+# durable container reader, the pool loader behind LoadFile (container
+# sniff, kind check and legacy JSON), the cluster text format (Write→Read
+# and raw Read), and the channel grammar (one target per field: faults,
+# then stages) — plus the bit-parallel edit-distance kernel and the banded
+# edit-script traceback, each against its full-matrix oracle, and the
+# shift-register Reed–Solomon encoder and clean check against the
+# long-division/syndrome oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
-	$(GO) test -run='^$$' -fuzz=FuzzReadFASTA -fuzztime=10s ./internal/seqio/
-	$(GO) test -run='^$$' -fuzz=FuzzReadFASTQ -fuzztime=10s ./internal/seqio/
 	$(GO) test -run='^$$' -fuzz=FuzzDatasetRoundTrip -fuzztime=10s ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=10s ./internal/faults/
 	$(GO) test -run='^$$' -fuzz=FuzzParseStages -fuzztime=10s ./internal/channel/

@@ -45,8 +45,8 @@ import (
 	"dnastore/internal/codec"
 )
 
-// Kind labels what a container holds, so loaders can reject a pool handed
-// to the profile reader and scrub can report archive composition.
+// Kind labels what a container holds, so a loader can reject a container
+// of another kind and scrub can report archive composition.
 type Kind byte
 
 // Container kinds.
@@ -92,9 +92,9 @@ const (
 // least 127 data bytes must remain per 255-byte codeword.
 const MaxParity = 128
 
-// DefaultParity is the parity used by the stock pool/dataset/profile
-// writers: 16 symbols per 255-byte codeword (~6.7% overhead) repairs up to
-// 8 unknown-position byte errors per codeword.
+// DefaultParity is the parity used by the stock pool and profile writers:
+// 16 symbols per 255-byte codeword (~6.7% overhead) repairs up to 8
+// unknown-position byte errors per codeword.
 const DefaultParity = 16
 
 // maxFrameSize bounds a single frame's raw payload, guarding allocations
