@@ -35,9 +35,12 @@ chaos-smoke:
 	$(GO) test -race -count=1 -timeout 5m ./internal/server/... ./internal/client/... ./internal/chaosnet/... ./internal/fleet/...
 
 # Short fuzz pass over every parser a program runs on on-disk bytes: the
-# durable container reader, the pool loader behind LoadFile (container
-# sniff, kind check and legacy JSON), the cluster text format (Write→Read
-# and raw Read), and the channel grammar (one target per field: faults,
+# one durable frame reader over containers and journals (on a journal the
+# frames OpenJournal keeps must be the sections Scrub lists before the
+# first corrupt one, and the file it truncates must scrub untorn), the
+# pool loader behind LoadFile (container sniff, kind check and legacy
+# JSON), the cluster text format (Write→Read and raw Read), and the
+# channel grammar (one target per field: faults,
 # then stages) — plus the bit-parallel edit-distance kernel and the banded
 # edit-script traceback, each against its full-matrix oracle, and the
 # shift-register Reed–Solomon encoder and clean check against the

@@ -640,6 +640,78 @@ func TestCLIScrub(t *testing.T) {
 	}
 }
 
+// TestCLICheckpointRefusesPool: pointing dnasim's -checkpoint at a pool
+// container fails the run and leaves the pool readable.
+func TestCLICheckpointRefusesPool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	pool := filepath.Join(work, "pool.dnac")
+	src := filepath.Join(work, "doc.txt")
+	refs := filepath.Join(work, "refs.txt")
+	if err := os.WriteFile(src, []byte("pool payload\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(refs, []byte(string(channel.RandomReferences(1, 60, 4)[0])+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runCLI(t, bin, "dnastore", "put", "-pool", pool, "-key", "doc", "-file", src)
+
+	runCLIFail(t, bin, "dnasim", "-refs", refs, "-checkpoint", pool, "-o", filepath.Join(work, "sim.txt"))
+	if out := runCLI(t, bin, "dnastore", "ls", "-pool", pool); !strings.Contains(out, "doc") {
+		t.Errorf("pool lost its key after the refused checkpoint:\n%s", out)
+	}
+}
+
+// TestCLIScrubJournals: the container kind, not the file name, makes a
+// journal. A checkpoint copied to a name without .ckpt scrubs clean, and
+// -repair leaves a journal with a repairable frame as it is.
+func TestCLIScrubJournals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	path := filepath.Join(work, "run.ckpt")
+	refs := channel.RandomReferences(3, 40, 8)
+	ckpt, err := channel.OpenCheckpoint(path, "x", refs, 1, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Commit(0, refs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	ckpt.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain := filepath.Join(work, "journal")
+	if err := os.WriteFile(plain, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runCLI(t, bin, "dnastore", "scrub", plain); !strings.Contains(out, "all checksums ok") {
+		t.Errorf("renamed checkpoint scrub:\n%s", out)
+	}
+
+	// One flipped byte in the last frame's body is within parity 8.
+	rotted := append([]byte(nil), data...)
+	rotted[len(rotted)-6] ^= 0x55
+	if err := os.WriteFile(plain, rotted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := exec.Command(filepath.Join(bin, "dnastore"), "scrub", "-repair", plain).CombinedOutput()
+	if !strings.Contains(string(out), "repairable") || strings.Contains(string(out), "repaired:") {
+		t.Errorf("scrub -repair of a journal:\n%s", out)
+	}
+	if got, err := os.ReadFile(plain); err != nil || !bytes.Equal(got, rotted) {
+		t.Errorf("scrub -repair rewrote a journal (err %v)", err)
+	}
+}
+
 // runCLIFail runs a tool expecting a non-zero exit; it returns the exit
 // code and stderr.
 func runCLIFail(t *testing.T, dir, tool string, args ...string) (int, string) {

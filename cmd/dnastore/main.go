@@ -69,7 +69,9 @@ subcommands:
        [-faults dropout=0.1,truncate=0.3:0.5,contam=0.02,zerocov=4:2]
        [-retries 2] [-backoff 2.0] [-timeout 30s]
   scrub [-repair] <file|dir> ...              verify container checksums; -repair rewrites
-                                              what Reed-Solomon parity can restore`)
+                                              what Reed-Solomon parity can restore
+                                              (journals — checkpoints, ledgers — are
+                                              verify-only: a rewrite would add a footer)`)
 }
 
 // loadOrNewPool opens an existing pool file or creates a fresh pool.
@@ -267,14 +269,15 @@ func cmdScrub(args []string) error {
 		}
 	}
 
+	scrub := durable.ScrubFile
+	if *repair {
+		scrub = durable.RepairFile
+	}
 	unhealthy := 0
 	for _, path := range paths {
-		rep, err := scrubOne(path, *repair)
+		rep, err := scrub(path)
 		if err != nil {
 			return err
-		}
-		if rep == nil {
-			continue
 		}
 		fmt.Printf("%s: %s\n", path, rep.Summary())
 		for _, s := range rep.Sections {
@@ -287,7 +290,7 @@ func cmdScrub(args []string) error {
 			}
 		}
 		healthy := rep.Intact() || rep.Legacy
-		if *repair && rep.Damaged() && rep.Repairable() && !isJournalPath(path) {
+		if *repair && rep.Damaged() && rep.Repairable() {
 			healthy = true
 			fmt.Printf("  repaired: %s rewritten from parity\n", path)
 		}
@@ -300,31 +303,4 @@ func cmdScrub(args []string) error {
 		return fmt.Errorf("scrub: %d of %d files damaged", unhealthy, len(paths))
 	}
 	return nil
-}
-
-// scrubOne scrubs (or repairs) a single path; a nil report means the file
-// is not scrub-relevant (unreadable non-regular files are surfaced as
-// errors instead). Journals — checkpoint `.ckpt` files and coordinator
-// ledger `.wal` files — are footer-less by design and get the journal
-// scrub, which accepts a stream ending on a frame boundary.
-func scrubOne(path string, repair bool) (*durable.Report, error) {
-	if isJournalPath(path) {
-		// Repair-by-rewrite would append the footer journals must not
-		// have, so journals are verify-only here; a torn tail heals on the
-		// next OpenJournal anyway.
-		return durable.ScrubJournalFile(path)
-	}
-	if repair {
-		return durable.RepairFile(path)
-	}
-	return durable.ScrubFile(path)
-}
-
-// isJournalPath recognises append-only journal artifacts by suffix.
-func isJournalPath(path string) bool {
-	switch filepath.Ext(path) {
-	case ".ckpt", ".wal":
-		return true
-	}
-	return false
 }

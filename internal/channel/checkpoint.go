@@ -153,7 +153,8 @@ func decodeCluster(b []byte) (int, []dna.Strand, error) {
 // a different run — different seed, references, simulator description or
 // dataset name — is rejected rather than silently mixed in. A journal too
 // torn to even read its header (crash during creation) is recreated from
-// scratch. A non-container file at path is never overwritten.
+// scratch. A file at path that is not a checkpoint journal — a non-container
+// or a container of another kind — is never overwritten or truncated.
 func OpenCheckpoint(path, name string, refs []dna.Strand, seed uint64, desc string) (*Checkpoint, error) {
 	want := ckptHeader{name: name, desc: desc, seed: seed,
 		refsHash: RefsHash(refs), clusters: uint64(len(refs))}
@@ -183,16 +184,12 @@ func OpenCheckpoint(path, name string, refs []dna.Strand, seed uint64, desc stri
 
 // resumeCheckpoint loads an existing journal and validates its identity.
 func resumeCheckpoint(path string, want ckptHeader) (*Checkpoint, error) {
-	j, frames, err := durable.OpenJournal(path)
+	j, frames, err := durable.OpenJournal(path, durable.KindCheckpoint)
 	if err != nil {
 		if errors.Is(err, durable.ErrNotContainer) {
 			return nil, fmt.Errorf("channel: %s is not a checkpoint journal (refusing to overwrite): %w", path, err)
 		}
 		return nil, err
-	}
-	if j.Kind() != durable.KindCheckpoint {
-		j.Close()
-		return nil, fmt.Errorf("channel: %s is a %s container, not a checkpoint", path, j.Kind())
 	}
 	if len(frames) == 0 || frames[0].Name != ckptHeaderFrame {
 		// Header frame lost to the tear: recreate.

@@ -13,6 +13,7 @@ import (
 
 	"dnastore/internal/channel"
 	"dnastore/internal/dataset"
+	"dnastore/internal/durable"
 	"dnastore/internal/faults"
 	"dnastore/internal/rng"
 )
@@ -220,6 +221,34 @@ func TestCheckpointRejectsDifferentRun(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(other); string(got) != `{"version":1}` {
 		t.Error("non-checkpoint file was overwritten")
+	}
+}
+
+// TestCheckpointRefusesPoolContainer: a pool container at the checkpoint
+// path is refused before anything is written, so the pool keeps its
+// footer and still loads.
+func TestCheckpointRefusesPoolContainer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pool.dnac")
+	err := durable.WriteContainerFile(path, durable.KindPool, durable.Options{Parity: durable.DefaultParity}, func(w *durable.Writer) error {
+		return w.WriteFrame("pool.json", []byte(`{"version":1,"objects":[]}`))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := channel.RandomReferences(4, 30, 3)
+	if c, err := channel.OpenCheckpoint(path, "x", refs, 1, "d"); err == nil {
+		c.Close()
+		t.Fatal("pool container accepted as a checkpoint")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("pool container changed by the refused open: %d bytes, was %d (err %v)", len(got), len(want), err)
+	}
+	if _, err := durable.ReadContainerFile(path, durable.KindPool); err != nil {
+		t.Errorf("pool unreadable after the refused open: %v", err)
 	}
 }
 

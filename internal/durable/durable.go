@@ -27,8 +27,10 @@
 //	footer    := 'E' | frameCount u32 | crc32c(stored payload CRCs) u32 |
 //	             magic "CEND"
 //
-// A journal is a container without a footer: validity is the header plus
-// every complete frame, and a torn tail is discarded on open. The payload
+// A journal (KindCheckpoint, KindLedger) is a container without a footer:
+// its kind says so, validity is the header plus every clean frame, and the
+// first damaged frame ends it. One frame walk, Reader.Next, reads both
+// shapes for ReadAll, Scrub and OpenJournal. The payload
 // CRC is always computed over the raw (pre-parity) payload, so a repaired
 // frame re-validates against the stored checksum — Reed–Solomon can only
 // claim a repair the CRC confirms.
@@ -59,6 +61,10 @@ const (
 	// KindLedger marks a coordinator write-ahead job ledger journal.
 	KindLedger Kind = 5
 )
+
+// Journal reports whether containers of this kind are append-only
+// journals: footer-less streams that end at a frame boundary.
+func (k Kind) Journal() bool { return k == KindCheckpoint || k == KindLedger }
 
 // String names the kind for reports.
 func (k Kind) String() string {
@@ -116,6 +122,10 @@ var ErrNotContainer = errors.New("durable: not a durable container")
 // signature of a torn write.
 var ErrTruncated = errors.New("durable: container truncated (torn write)")
 
+// ErrWrongKind reports a container whose header declares another kind than
+// the one asked for. OpenJournal returns it before touching the file.
+var ErrWrongKind = errors.New("durable: wrong container kind")
+
 // ErrCorrupt reports payload bytes that fail their checksum beyond what
 // Reed–Solomon parity could repair.
 var ErrCorrupt = errors.New("durable: payload corrupt beyond parity budget")
@@ -168,6 +178,24 @@ func updateRunCRC(run, pcrc uint32) uint32 {
 	return crc32.Update(run, castagnoli, b[:])
 }
 
+// newRS checks a parity symbol count and builds its Reed–Solomon codec;
+// parity 0 (checksums only) needs none.
+func newRS(parity int) (*codec.RS, error) {
+	if parity < 0 || parity > MaxParity {
+		return nil, fmt.Errorf("durable: parity %d out of [0,%d]", parity, MaxParity)
+	}
+	if parity == 0 {
+		return nil, nil
+	}
+	return codec.NewRS(parity)
+}
+
+// frameSize returns the on-disk length of a frame with the given name and
+// raw payload lengths.
+func frameSize(nameLen, rawLen, parity int) int {
+	return 2 + nameLen + 8 + encodedLen(rawLen, parity) + 4
+}
+
 // encodedLen returns the body length of a frame holding rawLen payload
 // bytes under the given parity.
 func encodedLen(rawLen, parity int) int {
@@ -195,7 +223,8 @@ func encodeHeader(kind Kind, parity int) [headerSize]byte {
 	return h
 }
 
-// parseHeader validates a container header read from r.
+// parseHeader validates a container header read from r; newRS checks its
+// parity.
 func parseHeader(r io.Reader) (Kind, int, error) {
 	h := make([]byte, headerSize)
 	n, err := io.ReadFull(r, h)
@@ -214,11 +243,7 @@ func parseHeader(r io.Reader) (Kind, int, error) {
 	if h[4] != Version {
 		return 0, 0, fmt.Errorf("durable: unsupported container version %d", h[4])
 	}
-	parity := int(h[6])
-	if parity > MaxParity {
-		return 0, 0, fmt.Errorf("durable: container parity %d exceeds %d", parity, MaxParity)
-	}
-	return Kind(h[5]), parity, nil
+	return Kind(h[5]), int(h[6]), nil
 }
 
 // encodeFrame serialises one frame into a single exact-size slice. The
@@ -231,7 +256,7 @@ func encodeFrame(name string, raw []byte, parity int, rs *codec.RS) ([]byte, err
 	if len(raw) > maxFrameSize {
 		return nil, fmt.Errorf("durable: frame payload %d bytes exceeds %d", len(raw), maxFrameSize)
 	}
-	buf := make([]byte, 0, 2+len(name)+8+encodedLen(len(raw), parity)+4)
+	buf := make([]byte, 0, frameSize(len(name), len(raw), parity))
 	buf = append(buf, frameMarker, byte(len(name)))
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(raw)))

@@ -226,7 +226,7 @@ func TestJournalAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, frames, err := OpenJournal(path)
+	j2, frames, err := OpenJournal(path, KindCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestJournalAppendReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	_, frames, err = OpenJournal(path)
+	_, frames, err = OpenJournal(path, KindCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, frames, err := OpenJournal(path)
+	j2, frames, err := OpenJournal(path, KindCheckpoint)
 	if err != nil {
 		t.Fatalf("torn journal unopenable: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	_, frames, err = OpenJournal(path)
+	_, frames, err = OpenJournal(path, KindCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}

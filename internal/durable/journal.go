@@ -1,147 +1,93 @@
 package durable
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"sync"
-
-	"dnastore/internal/codec"
 )
 
 // Journal is an append-only container without a footer, for state that
-// grows while a process runs (simulation checkpoints). Each Append writes
-// one fsynced frame, so a crash loses at most the frame being written —
-// and OpenJournal discards that torn tail, leaving every prior frame
-// intact.
+// grows while a process runs (simulation checkpoints, the coordinator's job
+// ledger). Each Append writes one fsynced frame, so a crash loses at most
+// the frame being written — and OpenJournal discards that torn tail,
+// leaving every prior frame intact.
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	kind   Kind
-	parity int
-	rs     *codec.RS
+	mu sync.Mutex
+	f  *os.File
+	// w encodes frames into f; the journal never closes it, since a
+	// footer would end the journal.
+	w      *Writer
 	closed bool
 }
 
-// CreateJournal creates (or truncates) a journal file and durably writes
-// its header.
+// CreateJournal creates (or truncates) a journal file of a journal kind
+// and durably writes its header.
 func CreateJournal(path string, kind Kind, opts Options) (*Journal, error) {
-	if opts.Parity < 0 || opts.Parity > MaxParity {
-		return nil, fmt.Errorf("durable: parity %d out of [0,%d]", opts.Parity, MaxParity)
-	}
-	var rs *codec.RS
-	if opts.Parity > 0 {
-		var err error
-		rs, err = codec.NewRS(opts.Parity)
-		if err != nil {
-			return nil, err
-		}
+	if !kind.Journal() {
+		return nil, fmt.Errorf("durable: %s is not a journal kind", kind)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	hdr := encodeHeader(kind, opts.Parity)
-	if _, err := f.Write(hdr[:]); err != nil {
+	w, err := NewWriter(f, kind, opts)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Journal{f: f, kind: kind, parity: opts.Parity, rs: rs}, nil
+	return &Journal{f: f, w: w}, nil
 }
 
-// countingReader counts bytes consumed from the underlying reader, so the
-// journal scan can locate the last clean frame boundary under a
-// bufio.Reader (consumed = counted − buffered).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// OpenJournal opens an existing journal for append, returning every intact
-// frame. The scan stops at the first sign of damage — a torn tail from a
-// crash mid-append, or a corrupt frame — and truncates the file back to
-// the last clean frame boundary, so subsequent Appends extend a valid
-// prefix. Callers re-derive whatever the dropped tail held.
-func OpenJournal(path string) (*Journal, []Frame, error) {
+// OpenJournal opens an existing journal of kind want for append, returning
+// every intact frame. A file that is a container of another kind, journal
+// or not, is refused with ErrWrongKind before anything is truncated or
+// written. Otherwise the scan stops at the first sign of damage — a torn
+// tail from a crash mid-append, or a corrupt frame — and truncates the
+// file back to the last clean frame boundary, so subsequent Appends extend
+// a valid prefix. Callers re-derive whatever the dropped tail held.
+func OpenJournal(path string, want Kind) (_ *Journal, frames []Frame, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	kind, parity, err := parseHeader(br)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	var rs *codec.RS
-	if parity > 0 {
-		rs, err = codec.NewRS(parity)
+	defer func() {
 		if err != nil {
 			f.Close()
-			return nil, nil, err
 		}
+	}()
+	rd, err := NewReader(f)
+	if err != nil {
+		return nil, nil, err
 	}
-	good := cr.n - int64(br.Buffered())
-	var frames []Frame
+	if rd.kind != want || !want.Journal() {
+		return nil, nil, fmt.Errorf("%w: %s is a %s container, not a %s journal", ErrWrongKind, path, rd.kind, want)
+	}
 	for {
-		marker, err := br.ReadByte()
+		// A clean end, a torn tail or a rotten frame: keep the prefix.
+		fr, err := rd.Next()
 		if err != nil {
 			break
 		}
-		if marker != frameMarker {
-			break
-		}
-		frame, _, err := readFrame(br, parity, rs, len(frames))
-		if err != nil {
-			// Torn or rotten tail: drop this frame and everything after.
-			break
-		}
-		frames = append(frames, *frame)
-		good = cr.n - int64(br.Buffered())
+		frames = append(frames, *fr)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
+	if err := f.Truncate(rd.clean); err != nil {
 		return nil, nil, err
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
+	if _, err := f.Seek(rd.clean, io.SeekStart); err != nil {
 		return nil, nil, err
 	}
-	return &Journal{f: f, kind: kind, parity: parity, rs: rs}, frames, nil
+	return &Journal{f: f, w: &Writer{w: f, rs: rd.rs, parity: rd.parity}}, frames, nil
 }
-
-// Kind returns the journal's container kind.
-func (j *Journal) Kind() Kind { return j.kind }
 
 // Append durably writes one frame: the write is followed by fsync before
 // Append returns, so a committed frame survives any later crash.
 func (j *Journal) Append(name string, payload []byte) error {
-	frame, err := encodeFrame(name, payload, j.parity, j.rs)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return os.ErrClosed
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return j.append(name, payload, true)
 }
 
 // AppendNoSync writes one frame without forcing it to disk. A crash may
@@ -150,17 +96,19 @@ func (j *Journal) Append(name string, payload []byte) error {
 // content the owner can re-derive (progress hints, not commitments). A
 // later Append or Close makes the frame durable.
 func (j *Journal) AppendNoSync(name string, payload []byte) error {
-	frame, err := encodeFrame(name, payload, j.parity, j.rs)
-	if err != nil {
-		return err
-	}
+	return j.append(name, payload, false)
+}
+
+func (j *Journal) append(name string, payload []byte, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return os.ErrClosed
 	}
-	_, err = j.f.Write(frame)
-	return err
+	if err := j.w.WriteFrame(name, payload); err != nil || !sync {
+		return err
+	}
+	return j.f.Sync()
 }
 
 // Close syncs and closes the journal file.

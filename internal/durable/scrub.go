@@ -63,8 +63,8 @@ type Report struct {
 	// artifact with no checksums to verify.
 	Legacy bool
 	// Truncated marks a torn write: a container stream that ended before
-	// a valid footer, or a journal that ends inside a frame. Every section
-	// listed was recovered intact before the tear.
+	// a valid footer, or a journal cut short by its first damaged frame.
+	// Sections lists what was read before the tear.
 	Truncated bool
 	// ScanErr records structural damage that stopped the scan (corrupt
 	// container or frame header, bad marker, bad footer).
@@ -74,8 +74,7 @@ type Report struct {
 }
 
 // Intact reports a fully healthy stream: not truncated, no structural
-// damage, every section clean with no corrections needed. It applies to
-// Scrub and ScrubJournal reports alike.
+// damage, every section clean with no corrections needed.
 func (r *Report) Intact() bool {
 	return !r.Legacy && !r.Truncated && r.ScanErr == nil && !r.Damaged()
 }
@@ -92,9 +91,11 @@ func (r *Report) Damaged() bool {
 
 // Repairable reports whether a full rewrite can restore the container:
 // structure intact, and every section either clean or within the parity
-// budget. Truncation is never repairable — the torn frames are gone.
+// budget. Truncation is never repairable — the torn frames are gone — and
+// neither is a journal, which a rewrite would close with a footer; its
+// repaired frames still read clean through parity.
 func (r *Report) Repairable() bool {
-	if r.Legacy || r.Truncated || r.ScanErr != nil {
+	if r.Legacy || r.Truncated || r.ScanErr != nil || r.Kind.Journal() {
 		return false
 	}
 	for _, s := range r.Sections {
@@ -142,9 +143,10 @@ func (r *Report) Summary() string {
 	return strings.Join(parts, "; ")
 }
 
-// Scrub walks a container stream, verifying every frame checksum and
-// attempting parity repair, and keeps going past damage wherever the
-// structure allows.
+// Scrub walks a container or journal stream, verifying every frame
+// checksum and attempting parity repair, and keeps going past damage
+// wherever the structure allows: past a rotten container section, but not
+// past a journal's first damaged frame.
 func Scrub(r io.Reader) *Report {
 	rep := &Report{}
 	rd, err := NewReader(r)
@@ -203,8 +205,8 @@ func ScrubFile(path string) (*Report, error) {
 
 // RepairFile scrubs a file and, when damage was found and every section is
 // recoverable, atomically rewrites the container from the repaired
-// payloads. The returned report describes the file as found (before
-// repair).
+// payloads. A journal is never rewritten (see Report.Repairable). The
+// returned report describes the file as found (before repair).
 func RepairFile(path string) (*Report, error) {
 	rep, err := ScrubFile(path)
 	if err != nil {

@@ -26,7 +26,7 @@ func TestScrubJournalHealthy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job.wal")
 	writeTestJournal(t, path, 8, 3)
 
-	rep, err := ScrubJournalFile(path)
+	rep, err := ScrubFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,22 @@ func TestScrubJournalHealthy(t *testing.T) {
 	if len(rep.Sections) != 3 || rep.Kind != KindLedger || rep.Parity != 8 {
 		t.Fatalf("report: kind %s parity %d sections %d, want ledger/8/3", rep.Kind, rep.Parity, len(rep.Sections))
 	}
-	// The generic container scrub must keep calling the same bytes torn —
-	// journals have no footer — which is exactly why ScrubJournal exists.
-	if gen, err := ScrubFile(path); err != nil || !gen.Truncated {
-		t.Fatalf("generic scrub of a journal: truncated=%v err=%v, want the footer-less stream flagged", gen.Truncated, err)
+	// The kind, not the file name, makes it a journal: a copy without the
+	// .wal suffix scrubs just as clean.
+	plain := filepath.Join(t.TempDir(), "job")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(plain, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := ScrubFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.Truncated || !gen.Intact() {
+		t.Fatalf("scrub of a renamed journal: %s, want intact", gen.Summary())
 	}
 }
 
@@ -55,7 +67,7 @@ func TestScrubJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := ScrubJournalFile(path)
+	rep, err := ScrubFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +79,7 @@ func TestScrubJournalTornTail(t *testing.T) {
 	}
 
 	// And OpenJournal agrees: one intact frame, tail discarded, appendable.
-	j, frames, err := OpenJournal(path)
+	j, frames, err := OpenJournal(path, KindLedger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +90,7 @@ func TestScrubJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	rep, err = ScrubJournalFile(path)
+	rep, err = ScrubFile(path)
 	if err != nil || !rep.Intact() {
 		t.Fatalf("journal not clean after truncate+append: %s err=%v", rep.Summary(), err)
 	}
@@ -100,7 +112,7 @@ func TestScrubJournalCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := ScrubJournalFile(path)
+	rep, err := ScrubFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +143,7 @@ func TestScrubJournalRepairsWithinParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := ScrubJournalFile(path)
+	rep, err := ScrubFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

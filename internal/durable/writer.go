@@ -24,16 +24,9 @@ type Writer struct {
 // NewWriter writes the container header and returns a writer for its
 // frames.
 func NewWriter(w io.Writer, kind Kind, opts Options) (*Writer, error) {
-	if opts.Parity < 0 || opts.Parity > MaxParity {
-		return nil, fmt.Errorf("durable: parity %d out of [0,%d]", opts.Parity, MaxParity)
-	}
-	var rs *codec.RS
-	if opts.Parity > 0 {
-		var err error
-		rs, err = codec.NewRS(opts.Parity)
-		if err != nil {
-			return nil, err
-		}
+	rs, err := newRS(opts.Parity)
+	if err != nil {
+		return nil, err
 	}
 	hdr := encodeHeader(kind, opts.Parity)
 	if _, err := w.Write(hdr[:]); err != nil {

@@ -185,7 +185,8 @@ func (s *ledgerStore) create(a ledgerAccepted) (*jobLedger, error) {
 // crash are deleted: their 202 never committed, so the job never existed
 // as far as any client knows. Torn tails past the accepted frame are
 // truncated by OpenJournal and the job is re-derived from what remains.
-// Records come back oldest-first.
+// A container of another kind is skipped and left as it is. Records come
+// back oldest-first.
 func (s *ledgerStore) replay() ([]*ledgerRecord, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -210,17 +211,18 @@ func (s *ledgerStore) replay() ([]*ledgerRecord, error) {
 }
 
 func (s *ledgerStore) replayOne(path string) (*ledgerRecord, bool) {
-	j, frames, err := durable.OpenJournal(path)
+	j, frames, err := durable.OpenJournal(path, durable.KindLedger)
+	if errors.Is(err, durable.ErrWrongKind) {
+		// Another kind's container: not ours to adopt or to delete, and
+		// OpenJournal left it untouched.
+		s.slog.Warn("skipping non-ledger container in ledger dir", "ledger", path, "error", err)
+		return nil, false
+	}
 	if err != nil {
 		// Torn before the header committed, or not a journal at all:
 		// nothing to adopt, nothing a client was promised.
 		s.slog.Warn("dropping unreadable job ledger", "ledger", path, "error", err)
 		os.Remove(path)
-		return nil, false
-	}
-	if j.Kind() != durable.KindLedger {
-		s.slog.Warn("skipping non-ledger journal in ledger dir", "ledger", path, "kind", j.Kind().String())
-		j.Close()
 		return nil, false
 	}
 	rec := &ledgerRecord{led: &jobLedger{path: path, j: j, slog: s.slog}}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dnastore/internal/client"
+	"dnastore/internal/durable"
 	"dnastore/internal/obs"
 	"dnastore/internal/server"
 )
@@ -166,6 +167,57 @@ func TestLedgerTornTail(t *testing.T) {
 	}
 	if _, err := os.Stat(led.path); !os.IsNotExist(err) {
 		t.Error("ledger torn before its accepted frame was not deleted")
+	}
+}
+
+// TestLedgerSkipsForeignContainers: a container of another kind in the
+// ledger directory — a pool named like a ledger, or a checkpoint journal —
+// is skipped by replay and left byte-identical, neither truncated nor
+// deleted.
+func TestLedgerSkipsForeignContainers(t *testing.T) {
+	dir := t.TempDir()
+	store, err := openLedgerStore(dir, obs.Discard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := filepath.Join(dir, "x.wal")
+	err = durable.WriteContainerFile(pool, durable.KindPool, durable.Options{Parity: 8}, func(w *durable.Writer) error {
+		return w.WriteFrame("pool.json", []byte(`{"version":1,"objects":[]}`))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "y.wal")
+	j, err := durable.CreateJournal(ckpt, durable.KindCheckpoint, durable.Options{Parity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append("header", []byte("run")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	want := map[string][]byte{}
+	for _, p := range []string{pool, ckpt} {
+		if want[p], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	recs, err := store.replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("replay adopted %d foreign files", len(recs))
+	}
+	for p, b := range want {
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(p), err)
+		}
+		if !bytes.Equal(got, b) {
+			t.Errorf("%s changed by replay: %d bytes, was %d", filepath.Base(p), len(got), len(b))
+		}
 	}
 }
 

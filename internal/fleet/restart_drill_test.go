@@ -258,7 +258,7 @@ func TestFleetDrillKillRestart(t *testing.T) {
 		t.Fatalf("ledger dir: %v files, err %v", len(wals), err)
 	}
 	for _, p := range wals {
-		rep, err := durable.ScrubJournalFile(p)
+		rep, err := durable.ScrubFile(p)
 		if err != nil {
 			t.Fatalf("scrub %s: %v", p, err)
 		}

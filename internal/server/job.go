@@ -501,7 +501,9 @@ func (j *Job) Result() ([]byte, bool) {
 // finish moves the job to a terminal state exactly once; it reports
 // whether this call performed the transition (false when the job was
 // already terminal), so callers can attach one-shot side effects such as
-// metrics without double counting.
+// metrics without double counting. It leaves Done open: the caller that
+// made the transition closes it once those side effects are done, so a
+// waiter woken by Done sees the job counted.
 func (j *Job) finish(state JobState, result []byte, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -517,7 +519,6 @@ func (j *Job) finishLocked(state JobState, result []byte, err error) bool {
 	j.result = result
 	j.err = err
 	j.cancel = nil
-	close(j.done)
 	return true
 }
 

@@ -138,3 +138,81 @@ func TestEmptyReadFailsOnFirstAttempt(t *testing.T) {
 		t.Errorf("error = %q, want the empty-read refusal", cur.Error)
 	}
 }
+
+// doneAtFinishHandler is a slog.Handler that notes, at each "job finished"
+// record, whether that job's Done channel was already closed.
+type doneAtFinishHandler struct {
+	srv    atomic.Pointer[Server]
+	mu     sync.Mutex
+	closed map[string]bool
+}
+
+func (h *doneAtFinishHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *doneAtFinishHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *doneAtFinishHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *doneAtFinishHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "job finished" {
+		return nil
+	}
+	var id string
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "job" {
+			id = a.Value.String()
+		}
+		return id == ""
+	})
+	j, ok := h.srv.Load().Job(id)
+	if !ok {
+		return nil
+	}
+	closed := false
+	select {
+	case <-j.Done():
+		closed = true
+	default:
+	}
+	h.mu.Lock()
+	h.closed[id] = closed
+	h.mu.Unlock()
+	return nil
+}
+
+// TestDoneClosesAfterFinishLogged: a job is counted and logged before its
+// Done channel closes, both when a worker finishes it and when a queued
+// job is canceled, so a waiter woken by Done never scrapes it uncounted.
+func TestDoneClosesAfterFinishLogged(t *testing.T) {
+	h := &doneAtFinishHandler{closed: make(map[string]bool)}
+	s := testServer(t, Config{
+		Workers: 1,
+		WrapSimulation: func(ch channel.Channel, cov channel.CoverageModel) (channel.Channel, channel.CoverageModel) {
+			return faults.SlowChannel{Base: ch, Delay: 2 * time.Millisecond}, cov
+		},
+		Logger: slog.New(h),
+	})
+	h.srv.Store(s)
+	running, err := s.Submit(simSpec(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return running.State() == StateRunning })
+	queued, err := s.Submit(simSpec(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Cancel(queued.ID); err != nil || st != StateCanceled {
+		t.Fatalf("cancel of the queued job = %v, %v; want canceled", st, err)
+	}
+	awaitTerminal(t, queued, 5*time.Second)
+	if st := awaitTerminal(t, running, 30*time.Second); st.State != StateDone {
+		t.Fatalf("running job = %v (%s)", st.State, st.Error)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, id := range []string{running.ID, queued.ID} {
+		closed, logged := h.closed[id]
+		if !logged || closed {
+			t.Errorf("job %s: finish logged %v, Done already closed at the log %v; want logged with Done open", id, logged, closed)
+		}
+	}
+}

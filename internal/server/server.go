@@ -242,8 +242,11 @@ func (s *Server) Finish(j *Job, state JobState, result []byte, err error) bool {
 	return true
 }
 
-// recordFinish counts and logs a terminal transition that just happened.
+// recordFinish counts and logs a terminal transition that just happened,
+// then closes the job's Done channel: whoever Done wakes finds the job
+// already counted.
 func (s *Server) recordFinish(j *Job, state JobState, err error) {
+	defer close(j.done)
 	s.metrics.observeFinish(j, state)
 	attrs := []any{"job", j.ID, "kind", string(j.Spec.Kind), "state", string(state),
 		"attempts", j.Attempts(), "elapsed", time.Since(j.created).Round(time.Millisecond)}
@@ -344,6 +347,7 @@ func (s *Server) Restore(r Restored) *Job {
 	j.created, j.Ext = r.Created, r.Ext
 	if r.State.Terminal() {
 		j.finish(r.State, r.Result, r.Err)
+		close(j.done)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
