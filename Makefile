@@ -41,9 +41,10 @@ chaos-smoke:
 # pool loader behind LoadFile (container sniff, kind check and legacy
 # JSON), the cluster text format (Write→Read and raw Read), and the
 # channel grammar (one target per field: faults,
-# then stages) — plus the bit-parallel edit-distance kernel and the banded
-# edit-script traceback, each against its full-matrix oracle, and the
-# shift-register Reed–Solomon encoder and clean check against the
+# then stages) — plus the bit-parallel edit-distance kernel, called
+# directly and through one align.Pattern reused from input to input, and
+# the banded edit-script traceback, each against its full-matrix oracle,
+# and the shift-register Reed–Solomon encoder and clean check against the
 # long-division/syndrome oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/

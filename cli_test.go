@@ -503,6 +503,38 @@ func TestCLIClusterBadInputLeavesNoOutput(t *testing.T) {
 	}
 }
 
+// TestCLIClusterRejectsNegativeFlags: a negative -k, -signatures,
+// -threshold or -max-ref-dist is a usage error. dnacluster must exit 2
+// before it reads -in and leave no output file, rather than fall back to a
+// default or, for -max-ref-dist, write a dataset of erasures.
+func TestCLIClusterRejectsNegativeFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	in := filepath.Join(work, "ds.txt")
+	sep := "*****************************\n"
+	data := "ACGTAACGACGGTCAATG\n" + sep + "ACGTAACGACGGTCAATG\nACGTAACGACGTCAATG\n\n" +
+		"TTTTAAAACCGGATCGAT\n" + sep + "TTTTAAAACCGGATCGAT\nTTTAAAACCGGATCGAT\n\n"
+	if err := os.WriteFile(in, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range []string{"-k", "-signatures", "-threshold", "-max-ref-dist"} {
+		out := filepath.Join(work, "c"+flag+".out")
+		code, stderr := runCLIFail(t, bin, "dnacluster", "-in", in, "-dataset", flag, "-1", "-o", out)
+		if code != 2 || !strings.Contains(stderr, flag+" must not be negative") {
+			t.Errorf("%s -1: exit %d, stderr:\n%s", flag, code, stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s -1: output file left behind: %v", flag, err)
+		}
+	}
+	// The same input with every flag at zero (the defaults) clusters.
+	runCLI(t, bin, "dnacluster", "-in", in, "-dataset", "-k", "0", "-signatures", "0", "-threshold", "0",
+		"-max-ref-dist", "0", "-o", filepath.Join(work, "ok.out"))
+}
+
 // TestCLIReconRefusesErasedCluster: a cluster with no reads reconstructs
 // to an empty strand, which a reference file cannot hold (its blank line
 // would shift every later strand up one). dnarecon -out must fail, name

@@ -45,6 +45,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// A negative count is a typo, not a request: the clusterer would take
+	// its default for it, and the assignment would accept no reference.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"k", *k}, {"signatures", *sigs}, {"threshold", *threshold}, {"max-ref-dist", *maxDist}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "dnacluster: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	cfg := cluster.Config{K: *k, Signatures: *sigs, Threshold: *threshold}
 
 	f, err := os.Open(*in)

@@ -194,8 +194,11 @@ func bandedDistanceAtMost(a, b string, k int) (int, bool) {
 }
 
 // checkAgainstOracle compares Distance, DistanceAtMost and Similar on
-// (a, b, k) with want, the oracle's distance, and with the banded DP.
-func checkAgainstOracle(t *testing.T, a, b string, k, want int) {
+// (a, b, k) with want, the oracle's distance, and with the banded DP, and
+// then pat, Reset to each string in turn and scanned against the other.
+// A caller that passes one pat across many pairs of assorted lengths and
+// alphabets makes a Peq row or table entry left stale by Reset show.
+func checkAgainstOracle(t *testing.T, pat *Pattern, a, b string, k, want int) {
 	t.Helper()
 	if got := Distance(a, b); got != want {
 		t.Fatalf("Distance(%q, %q) = %d, want %d", a, b, got, want)
@@ -213,6 +216,12 @@ func checkAgainstOracle(t *testing.T, a, b string, k, want int) {
 	}
 	if Similar(a, b, k) != wantOK {
 		t.Fatalf("Similar(%q, %q, %d) = %v, want %v", a, b, k, !wantOK, wantOK)
+	}
+	for _, c := range [2][2]string{{a, b}, {b, a}} {
+		pat.Reset(c[0])
+		if d, ok := pat.DistanceAtMost(c[1], k); d != wantD || ok != wantOK {
+			t.Fatalf("Pattern(%q).DistanceAtMost(%q, %d) = (%d, %v), want (%d, %v)", c[0], c[1], k, d, ok, wantD, wantOK)
+		}
 	}
 }
 
@@ -238,9 +247,11 @@ func mutate(r *rng.RNG, s, alpha string, n int) string {
 // both oracles on strands whose lengths straddle the 64-row word
 // boundaries and the 512-symbol stack budget, on near and far pairs, over
 // k < 0, k = 0, k around the distance and k ≥ the longer length, with
-// empty strings and bytes outside ACGT.
+// empty strings and bytes outside ACGT. One Pattern is Reset across every
+// pair, so each pattern follows one of another length and alphabet.
 func TestDistanceAtMostDifferential(t *testing.T) {
 	r := rng.New(2024)
+	var pat Pattern
 	lengths := []int{0, 1, 2, 31, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 511, 512, 513, 700}
 	alphabets := []string{"ACGT", "ACGT", "ACGTN", "AC", "ACGTNnx\x00\xff-*"}
 	for trial := 0; trial < 400; trial++ {
@@ -265,13 +276,17 @@ func TestDistanceAtMostDifferential(t *testing.T) {
 		d := levenshteinOracle(a, b)
 		longest := max(len(a), len(b))
 		for _, k := range []int{-2, -1, 0, 1, d - 1, d, d + 1, r.Intn(longest + 2), longest, longest + 5} {
-			checkAgainstOracle(t, a, b, k, d)
+			checkAgainstOracle(t, &pat, a, b, k, d)
 		}
 	}
 }
 
-// FuzzDistanceAtMost checks DistanceAtMost, Distance and Similar against
-// the full-matrix oracle on arbitrary bytes.
+// fuzzPattern is the one Pattern FuzzDistanceAtMost Resets from input to
+// input: the fuzz function runs its inputs one at a time.
+var fuzzPattern Pattern
+
+// FuzzDistanceAtMost checks DistanceAtMost, Distance, Similar and a reused
+// Pattern against the full-matrix oracle on arbitrary bytes.
 func FuzzDistanceAtMost(f *testing.F) {
 	f.Add("KITTEN", "SITTING", 3)
 	f.Add("", "ACGT", 4)
@@ -283,15 +298,17 @@ func FuzzDistanceAtMost(f *testing.F) {
 		if len(a) > 700 || len(b) > 700 || k < -3 || k > 1000 {
 			t.Skip()
 		}
-		checkAgainstOracle(t, a, b, k, levenshteinOracle(a, b))
+		checkAgainstOracle(t, &fuzzPattern, a, b, k, levenshteinOracle(a, b))
 	})
 }
 
 // TestDistanceAtMostNoAlloc: strands up to 512 nt, hit or miss, run the
 // kernel entirely on the stack — the clustering hot loop calls it ~10k
-// times per get.
+// times per get — and a reused Pattern prepares and scans them without
+// allocating either.
 func TestDistanceAtMostNoAlloc(t *testing.T) {
 	r := rng.New(3)
+	var pat Pattern
 	for _, n := range []int{20, 142, 512} {
 		x := randStrand(r, n)
 		near := mutate(r, x, "ACGT", n/20+1)
@@ -309,6 +326,15 @@ func TestDistanceAtMostNoAlloc(t *testing.T) {
 			Distance(x, far)
 		}); a != 0 {
 			t.Errorf("n=%d: %.1f allocs per run, want 0", n, a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			pat.Reset(x)
+			pat.DistanceAtMost(near, k)
+			pat.DistanceAtMost(far, k)
+			pat.Reset(far)
+			pat.DistanceAtMost(x, k)
+		}); a != 0 {
+			t.Errorf("n=%d: Pattern Reset and DistanceAtMost: %.1f allocs per run, want 0", n, a)
 		}
 	}
 }
@@ -798,21 +824,26 @@ var sinkInt int
 // BenchmarkDistanceAtMost142 times one clustering comparison of the
 // store workload: a 142-nt representative against a 143-nt read at the
 // default threshold k = 35, for a noisy copy (hit) and an unrelated
-// strand (miss).
+// strand (miss), and the unrelated strand again at k = 5, the bound a
+// candidate gets once the clusterer has found a representative 6 edits
+// away (miss-k5).
 func BenchmarkDistanceAtMost142(b *testing.B) {
 	r := rng.New(4)
 	x := randStrand(r, 142)
+	hit, miss := mutate(r, x+"A", "ACGT", 6), randStrand(r, 143)
 	for _, c := range []struct {
 		name string
 		y    string
+		k    int
 	}{
-		{"hit", mutate(r, x+"A", "ACGT", 6)},
-		{"miss", randStrand(r, 143)},
+		{"hit", hit, 35},
+		{"miss", miss, 35},
+		{"miss-k5", miss, 5},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, _ := DistanceAtMost(x, c.y, 35)
+				d, _ := DistanceAtMost(x, c.y, c.k)
 				sinkInt += d
 			}
 		})

@@ -62,35 +62,18 @@ func (c Config) threshold(readLen int) int {
 // only with identical short reads: those merge, empty reads included
 // (their threshold is 0), and every other short read stays a singleton.
 func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
-	type clusterRec struct {
-		rep     dna.Strand
-		members []int
-	}
-	var clusters []clusterRec
+	var (
+		reps    []dna.Strand // reps[cid] is cluster cid's first member
+		members [][]int
+	)
 	buckets := make(map[uint64][]int) // minimizer hash -> cluster ids
 	sk := newSketcher(cfg)
-	// seen[cid] == i+1 once read i has compared against cluster cid.
-	var seen []int
+	var ns nearestSearch
 
 	for i, read := range pool {
 		sigs := sk.minimizers(read)
-		thr := cfg.threshold(read.Len())
-		best := -1
-		bestDist := int(^uint(0) >> 1)
-		for _, s := range sigs {
-			for _, cid := range buckets[s] {
-				if seen[cid] == i+1 {
-					continue
-				}
-				seen[cid] = i + 1
-				rep := clusters[cid].rep
-				if d, ok := align.DistanceAtMost(string(rep), string(read), thr); ok && d < bestDist {
-					best, bestDist = cid, d
-				}
-			}
-		}
-		if best >= 0 {
-			clusters[best].members = append(clusters[best].members, i)
+		if best := ns.find(read, sigs, buckets, reps, cfg.threshold(read.Len())); best >= 0 {
+			members[best] = append(members[best], i)
 			// Register the new member's signatures too: later reads that
 			// share no minimizer with the representative can still find
 			// the cluster through this member.
@@ -101,19 +84,14 @@ func GreedyIndices(pool []dna.Strand, cfg Config) [][]int {
 			}
 			continue
 		}
-		cid := len(clusters)
-		clusters = append(clusters, clusterRec{rep: read, members: []int{i}})
-		seen = append(seen, 0)
+		cid := len(reps)
+		reps = append(reps, read)
+		members = append(members, []int{i})
 		for _, s := range sigs {
 			buckets[s] = append(buckets[s], cid)
 		}
 	}
-
-	out := make([][]int, len(clusters))
-	for i, c := range clusters {
-		out[i] = c.members
-	}
-	return out
+	return members
 }
 
 // Greedy clusters the pool and returns the member reads of each cluster.
@@ -183,6 +161,85 @@ func containsID(ids []int, id int) bool {
 	return false
 }
 
+// nearestSearch finds, for one query strand at a time, the candidate
+// nearest to it in edit distance among the strands that share a minimizer
+// bucket with it. Candidates are the ids the query's buckets list, each
+// once, in visit order: signature by signature, bucket order within each.
+// The answer is the candidate at the least distance within the threshold,
+// the first visited on ties: the one a scan in visit order keeps when it
+// replaces its best only on a strictly smaller distance.
+//
+// The search reaches that answer faster than such a scan, exactly:
+//   - the query is prepared once as an align.Pattern and every candidate
+//     is scanned against it;
+//   - each call is bounded by the best so far: bestDist−1 for a candidate
+//     visited after the best, which must beat it strictly, but bestDist
+//     for one visited before it, which wins a tie. A candidate that the
+//     bound rejects could not have replaced the best, so the answer does
+//     not depend on the order the candidates are tested in;
+//   - so they are tested in order of shared minimizers, most first
+//     (stable, so visit order breaks equal counts): a candidate sharing
+//     more minimizers tends to be nearer, and a near best found early
+//     makes the remaining calls cheap misses.
+type nearestSearch struct {
+	pat   align.Pattern
+	stamp int
+	// mark[id] == stamp once id is a candidate of the current query, and
+	// slot[id] is then its index in cands.
+	mark, slot []int
+	cands      []candidate
+}
+
+// candidate is one strand the query's buckets list: its index, its rank
+// in visit order and how many of the query's signatures file it.
+type candidate struct {
+	id, visit, shared int
+}
+
+// find returns the index into strands of the candidate nearest to query
+// within thr edits, or -1 when no candidate is that close. buckets maps
+// each of the query's signatures sigs to the indices of the strands filed
+// under it.
+func (ns *nearestSearch) find(query dna.Strand, sigs []uint64, buckets map[uint64][]int, strands []dna.Strand, thr int) int {
+	if n := len(strands); len(ns.mark) < n {
+		ns.mark = append(ns.mark, make([]int, n-len(ns.mark))...)
+		ns.slot = append(ns.slot, make([]int, n-len(ns.slot))...)
+	}
+	ns.stamp++
+	cands := ns.cands[:0]
+	for _, s := range sigs {
+		for _, id := range buckets[s] {
+			if ns.mark[id] == ns.stamp {
+				cands[ns.slot[id]].shared++
+				continue
+			}
+			ns.mark[id], ns.slot[id] = ns.stamp, len(cands)
+			cands = append(cands, candidate{id: id, visit: len(cands), shared: 1})
+		}
+	}
+	ns.cands = cands
+	slices.SortStableFunc(cands, func(a, b candidate) int { return b.shared - a.shared })
+
+	best, bestDist, bestVisit := -1, 0, 0
+	if len(cands) > 0 {
+		ns.pat.Reset(string(query))
+	}
+	for _, c := range cands {
+		bound := thr
+		switch {
+		case best < 0:
+		case c.visit < bestVisit:
+			bound = bestDist
+		default:
+			bound = bestDist - 1
+		}
+		if d, ok := ns.pat.DistanceAtMost(string(strands[c.id]), bound); ok {
+			best, bestDist, bestVisit = c.id, d, c.visit
+		}
+	}
+	return best
+}
+
 // hashFNV is the 64-bit FNV-1a hash of s, the value hash/fnv's New64a
 // gives, computed without allocating a hasher.
 func hashFNV(s string) uint64 {
@@ -217,25 +274,13 @@ func AssignToReferences(clusters [][]dna.Strand, refs []dna.Strand, maxDist int)
 			refBuckets[s] = append(refBuckets[s], i)
 		}
 	}
-	// seen[ri] == ci+1 once cluster ci has compared against reference ri.
-	seen := make([]int, len(refs))
-	for ci, members := range clusters {
+	var ns nearestSearch
+	for _, members := range clusters {
 		if len(members) == 0 {
 			continue
 		}
 		rep := members[0]
-		best, bestDist := -1, maxDist+1
-		for _, s := range sk.minimizers(rep) {
-			for _, ri := range refBuckets[s] {
-				if seen[ri] == ci+1 {
-					continue
-				}
-				seen[ri] = ci + 1
-				if d, ok := align.DistanceAtMost(string(refs[ri]), string(rep), maxDist); ok && d < bestDist {
-					best, bestDist = ri, d
-				}
-			}
-		}
+		best := ns.find(rep, sk.minimizers(rep), refBuckets, refs, maxDist)
 		if best < 0 {
 			continue // junk cluster: not close to any reference
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"dnastore/internal/align"
 	"dnastore/internal/channel"
 	"dnastore/internal/dna"
 	"dnastore/internal/metrics"
@@ -223,5 +224,185 @@ func TestLabeledPool(t *testing.T) {
 	}
 	if labels[0] != 0 || labels[5] != 2 {
 		t.Errorf("labels = %v", labels)
+	}
+}
+
+// visitOrderNearest is the candidate scan GreedyIndices and
+// AssignToReferences ran before their search was reordered, kept as the
+// oracle: every strand the query's buckets list, once each in visit
+// order, compared at threshold thr, the nearest kept, the first visited on
+// ties. It also reports whether the ties were reordered: two or more
+// candidates at the least distance, and one visited after the first of
+// them sharing more minimizers with the query, so that a best-first search
+// tests it before the one that must win.
+func visitOrderNearest(query dna.Strand, sigs []uint64, buckets map[uint64][]int, strands []dna.Strand, thr int) (best int, reorderedTie bool) {
+	var visited []int
+	seen := map[int]bool{}
+	for _, s := range sigs {
+		for _, id := range buckets[s] {
+			if !seen[id] {
+				seen[id] = true
+				visited = append(visited, id)
+			}
+		}
+	}
+	best, bestDist := -1, int(^uint(0)>>1)
+	dist := make([]int, len(visited))
+	for i, id := range visited {
+		d, ok := align.DistanceAtMost(string(strands[id]), string(query), thr)
+		if !ok {
+			d = -1
+		}
+		dist[i] = d
+		if ok && d < bestDist {
+			best, bestDist = id, d
+		}
+	}
+	shared := func(id int) int {
+		n := 0
+		for _, s := range sigs {
+			if slices.Contains(buckets[s], id) {
+				n++
+			}
+		}
+		return n
+	}
+	first := -1
+	for i, id := range visited {
+		if best < 0 || dist[i] != bestDist {
+			continue
+		}
+		if first < 0 {
+			first = id
+		} else if shared(id) > shared(first) {
+			reorderedTie = true
+		}
+	}
+	return best, reorderedTie
+}
+
+// greedyOracle is GreedyIndices over visitOrderNearest. It returns the
+// clustering and the number of reads whose ties were reordered.
+func greedyOracle(pool []dna.Strand, cfg Config) (clusters [][]int, reordered int) {
+	var reps []dna.Strand
+	buckets := make(map[uint64][]int)
+	sk := newSketcher(cfg)
+	for i, read := range pool {
+		sigs := sk.minimizers(read)
+		best, tie := visitOrderNearest(read, sigs, buckets, reps, cfg.threshold(read.Len()))
+		if tie {
+			reordered++
+		}
+		if best >= 0 {
+			clusters[best] = append(clusters[best], i)
+			for _, s := range sigs {
+				if !containsID(buckets[s], best) {
+					buckets[s] = append(buckets[s], best)
+				}
+			}
+			continue
+		}
+		for _, s := range sigs {
+			buckets[s] = append(buckets[s], len(reps))
+		}
+		reps = append(reps, read)
+		clusters = append(clusters, []int{i})
+	}
+	return clusters, reordered
+}
+
+// assignOracle is AssignToReferences over visitOrderNearest. It returns
+// the reference each cluster joins (-1 for none) and the number of
+// clusters whose ties were reordered.
+func assignOracle(clusters [][]dna.Strand, refs []dna.Strand, maxDist int) (assigned []int, reordered int) {
+	sk := newSketcher(Config{})
+	buckets := make(map[uint64][]int)
+	for i, ref := range refs {
+		for _, s := range sk.minimizers(ref) {
+			buckets[s] = append(buckets[s], i)
+		}
+	}
+	for _, members := range clusters {
+		best := -1
+		if len(members) > 0 {
+			var tie bool
+			best, tie = visitOrderNearest(members[0], sk.minimizers(members[0]), buckets, refs, maxDist)
+			if tie {
+				reordered++
+			}
+		}
+		assigned = append(assigned, best)
+	}
+	return assigned, reordered
+}
+
+// tiePool is a seeded noisy pool built to make equal-distance ties: next
+// to reads of random references at up to 6% error it holds near-duplicate
+// variants of those references, each a few substitutions from its
+// parent, so two variants often sit at the same distance from a read.
+// It returns the shuffled pool and the variants.
+func tiePool(seed uint64) (pool, variants []dna.Strand) {
+	r := rng.New(seed)
+	refs := channel.RandomReferences(30, 110, seed)
+	for _, ref := range refs {
+		for v := r.Intn(4); v > 0; v-- {
+			b := []byte(ref)
+			for s := 1 + r.Intn(3); s > 0; s-- {
+				b[r.Intn(len(b))] = "ACGT"[r.Intn(4)]
+			}
+			variants = append(variants, dna.Strand(b))
+		}
+	}
+	sim := channel.Simulator{
+		Channel:  channel.NewNaive("n", channel.NanoporeMix(0.06*r.Float64())),
+		Coverage: channel.FixedCoverage(1 + r.Intn(6)),
+	}
+	pool = append(sim.Simulate("ties", refs, seed+1).AllReads(rng.New(seed+2)), variants...)
+	r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	return pool, variants
+}
+
+// TestNearestSearchMatchesVisitOrderOracle checks GreedyIndices and
+// AssignToReferences, which test candidates best first under a shrinking
+// bound, against the visit-order scan they replaced, over seeded noisy
+// pools with near-duplicate strands and thresholds from 1 to the default.
+// Both must pick the same candidate every time, including on ties the
+// reordering tested out of visit order; the test counts those ties so that
+// it cannot pass without them.
+func TestNearestSearchMatchesVisitOrderOracle(t *testing.T) {
+	greedyTies, assignTies := 0, 0
+	for seed := uint64(1); seed <= 12; seed++ {
+		pool, variants := tiePool(seed)
+		for _, thr := range []int{0, 1, 2, 4, 8} {
+			cfg := Config{Threshold: thr}
+			got := GreedyIndices(pool, cfg)
+			want, tied := greedyOracle(pool, cfg)
+			greedyTies += tied
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("seed %d threshold %d: GreedyIndices differs from the visit-order oracle", seed, thr)
+			}
+			clusters := Greedy(pool, cfg)
+			for _, maxDist := range []int{-1, 2, 6, 30} {
+				ds := AssignToReferences(clusters, variants, maxDist)
+				assigned, tied := assignOracle(clusters, variants, maxDist)
+				assignTies += tied
+				for ri := range variants {
+					var wantReads []dna.Strand
+					for ci, a := range assigned {
+						if a == ri {
+							wantReads = append(wantReads, clusters[ci]...)
+						}
+					}
+					if !slices.Equal(ds.Clusters[ri].Reads, wantReads) {
+						t.Fatalf("seed %d threshold %d maxDist %d: reference %d got %d reads, oracle %d",
+							seed, thr, maxDist, ri, len(ds.Clusters[ri].Reads), len(wantReads))
+					}
+				}
+			}
+		}
+	}
+	t.Logf("reordered ties: %d in GreedyIndices, %d in AssignToReferences", greedyTies, assignTies)
+	if greedyTies == 0 || assignTies == 0 {
+		t.Fatalf("reordered ties: %d in GreedyIndices, %d in AssignToReferences; want both > 0", greedyTies, assignTies)
 	}
 }

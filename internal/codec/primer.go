@@ -84,6 +84,7 @@ func GeneratePrimers(n int, cfg PrimerConfig, r *rng.RNG) ([]dna.Strand, error) 
 	const attemptsPer = 20000
 	lib := make([]dna.Strand, 0, n)
 	buf := make([]byte, cfg.length())
+	var pat align.Pattern // the candidate, scanned against the library
 	for len(lib) < n {
 		found := false
 		for attempt := 0; attempt < attemptsPer; attempt++ {
@@ -94,9 +95,10 @@ func GeneratePrimers(n int, cfg PrimerConfig, r *rng.RNG) ([]dna.Strand, error) 
 			if !cfg.Valid(cand) {
 				continue
 			}
+			pat.Reset(string(cand))
 			ok := true
 			for _, p := range lib {
-				if align.Similar(string(p), string(cand), cfg.minDist()-1) {
+				if _, near := pat.DistanceAtMost(string(p), cfg.minDist()-1); near {
 					ok = false
 					break
 				}
@@ -132,11 +134,13 @@ func Tag(primer dna.Strand, strands []dna.Strand) []dna.Strand {
 func SelectAmplify(pool []dna.Strand, primer dna.Strand, maxMismatch int) []dna.Strand {
 	var out []dna.Strand
 	plen := primer.Len()
+	var pat align.Pattern
+	pat.Reset(string(primer))
 	for _, s := range pool {
 		if s.Len() < plen {
 			continue
 		}
-		if align.Similar(string(primer), string(s[:plen]), maxMismatch) {
+		if _, ok := pat.DistanceAtMost(string(s[:plen]), maxMismatch); ok {
 			out = append(out, s[plen:])
 		}
 	}

@@ -91,16 +91,18 @@ func (p *Pool) Store(key string, data []byte) error {
 func (p *Pool) newPrimer() (dna.Strand, error) {
 	cfg := p.opts.PrimerConfig
 	const attempts = 20000
+	minDist := 2*p.opts.PrimerMismatch + 2 // amplification windows must not overlap
+	var pat align.Pattern                  // the candidate, scanned against every primer
 	for a := 0; a < attempts; a++ {
 		cands, err := codec.GeneratePrimers(1, cfg, p.rng)
 		if err != nil {
 			return "", err
 		}
 		cand := cands[0]
+		pat.Reset(string(cand))
 		ok := true
-		minDist := 2*p.opts.PrimerMismatch + 2 // amplification windows must not overlap
 		for _, existing := range p.primers {
-			if d, within := distAtMost(existing, cand, minDist-1); within && d < minDist {
+			if _, within := pat.DistanceAtMost(string(existing), minDist-1); within {
 				ok = false
 				break
 			}
@@ -228,10 +230,4 @@ func (p *Pool) SequenceCtx(ctx context.Context, ch channel.Channel, cov channel.
 		return nil, err
 	}
 	return ds.AllReads(rng.New(seed + 1)), err
-}
-
-// distAtMost reports the edit distance between two strands when it is at
-// most k.
-func distAtMost(a, b dna.Strand, k int) (int, bool) {
-	return align.DistanceAtMost(string(a), string(b), k)
 }

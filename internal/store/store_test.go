@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dnastore/internal/align"
 	"dnastore/internal/channel"
 	"dnastore/internal/codec"
 	"dnastore/internal/dist"
@@ -102,7 +103,7 @@ func TestPrimersAreDistinct(t *testing.T) {
 	// Pairwise distance must exceed twice the mismatch budget.
 	for i := range p.primers {
 		for j := i + 1; j < len(p.primers); j++ {
-			if _, within := distAtMost(p.primers[i], p.primers[j], 2*p.opts.PrimerMismatch+1); within {
+			if align.Similar(string(p.primers[i]), string(p.primers[j]), 2*p.opts.PrimerMismatch+1) {
 				t.Errorf("primers %d and %d too close", i, j)
 			}
 		}
