@@ -7,13 +7,16 @@ package dnastore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dnastore/internal/channel"
 	"dnastore/internal/dataset"
@@ -462,6 +465,45 @@ func TestCLIRefusesEmptyRead(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("output file left behind: %v", err)
+	}
+}
+
+// TestCLISimRejectsBadCoverage: a coverage mean that is NaN, infinite,
+// negative or past int32 is a usage error for every coverage model.
+// dnasim must exit 1 naming it and leave no output file, rather than
+// panic in every cluster, write an all-erasure dataset, or never return
+// (a Poisson draw with a NaN mean) — hence the timeout.
+func TestCLISimRejectsBadCoverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	refs := filepath.Join(work, "refs.txt")
+	if err := os.WriteFile(refs, []byte("ACGTAACGACGGTCAATG\nTTTTAAAACCGGATCGAT\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range [][2]string{
+		{"fixed", "-3"}, {"fixed", "NaN"}, {"fixed", "1e300"}, {"negbin", "+Inf"},
+		{"normal", "-3"}, {"poisson", "NaN"}, {"poisson", "-Inf"},
+	} {
+		out := filepath.Join(work, fmt.Sprintf("sim%d.txt", i))
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, filepath.Join(bin, "dnasim"), "-refs", refs, "-sub", "0.01",
+			"-coverage-model", tc[0], "-coverage", tc[1], "-seed", "1", "-o", out)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		code := cmd.ProcessState.ExitCode()
+		if timedOut || code != 1 || !strings.Contains(stderr.String(), "dnasim: coverage mean") ||
+			!strings.Contains(stderr.String(), "out of range") {
+			t.Errorf("-coverage-model %s -coverage %s: exit %d (timed out: %t), stderr:\n%s", tc[0], tc[1], code, timedOut, stderr.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("-coverage-model %s -coverage %s: output file left behind: %v", tc[0], tc[1], err)
+		}
 	}
 }
 

@@ -48,6 +48,13 @@ func BenchmarkAppendTransmitDNASimulator(b *testing.B) {
 	benchAppendTransmit(b, NewDNASimulator("bench", DefaultNanoporeDict()))
 }
 
+// BenchmarkAppendTransmitPhysicalPipeline is the staged channel the
+// simulate benchmark runs: four stages, three of them intermediate, each
+// handing its read to the next as base codes.
+func BenchmarkAppendTransmitPhysicalPipeline(b *testing.B) {
+	benchAppendTransmit(b, NewPhysicalPipeline("bench", 0.059, 10))
+}
+
 // benchAppendTransmit measures the arena fast path exactly as a
 // simulation worker drives it: reference decoded once, output and batch
 // buffers reused. These paths must report 0 allocs/op — CI asserts it

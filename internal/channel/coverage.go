@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"math"
 
 	"dnastore/internal/dna"
 	"dnastore/internal/rng"
@@ -116,8 +117,13 @@ func (n NormalCoverage) Name() string {
 // CoverageByName builds the coverage model the CLIs and job specs name:
 // "fixed" (or empty) gives every cluster int(mean) reads, "negbin" draws
 // with dispersion 2.5, "poisson" with the given mean, and "normal" with
-// SD mean/3.
+// SD mean/3. The mean must be finite, non-negative and at most
+// math.MaxInt32: past that no model yields a read count a cluster can
+// hold, and a NaN mean never finishes a Poisson draw.
 func CoverageByName(name string, mean float64) (CoverageModel, error) {
+	if !(mean >= 0 && mean <= math.MaxInt32) {
+		return nil, fmt.Errorf("coverage mean %g out of range [0, %d]", mean, math.MaxInt32)
+	}
 	switch name {
 	case "", "fixed":
 		return FixedCoverage(int(mean)), nil

@@ -150,10 +150,12 @@ func TestScratchConcurrentReuse(t *testing.T) {
 	}
 }
 
-// TestAppendTransmitZeroAlloc is the exact allocation gate for the three
-// packed kernels every simulation worker runs: once the arena is warm, a
-// read through second-order + spatial Model, DNASimulator or the 4-stage
-// pipeline allocates nothing. dnabench's zero-alloc workloads measure the
+// TestAppendTransmitZeroAlloc is the exact allocation gate for the packed
+// kernels every simulation worker runs: once the arena is warm, a read
+// through second-order + spatial Model, DNASimulator, the 4-stage
+// pipelines (the physical one's PCR and aging stages hand codes on through
+// their embedded Model) or a pipeline whose intermediate DNASimulator
+// takes the ASCII hand-off allocates nothing. dnabench's zero-alloc workloads measure the
 // same kernels; this test fails on any allocation without a timing run.
 func TestAppendTransmitZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
@@ -163,6 +165,10 @@ func TestAppendTransmitZeroAlloc(t *testing.T) {
 		{"secondorder-spatial", goldenModelSecondOrder()},
 		{"dnasimulator", NewDNASimulator("alloc", DefaultNanoporeDict())},
 		{"pipeline-4stage", NewStoragePipeline("alloc-pipe", 0.059, 10)},
+		{"pipeline-physical", NewPhysicalPipeline("alloc-phys", 0.059, 10)},
+		{"pipeline-dnasimulator-mid", Pipeline{Label: "alloc-mixed", Stages: []Stage{
+			NewSynthesisStage(0.0118), NewDNASimulator("mid", DefaultNanoporeDict()), NewNaive("n", EqualMix(0.02)),
+		}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := RandomReferences(1, 110, 42)[0]

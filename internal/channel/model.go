@@ -143,25 +143,41 @@ const maxPositionRate = 0.99
 // through the arena's batched RNG block — filled in bulk up front, then
 // backstepped past the unconsumed draws so the generator's stream
 // position is exactly what per-call draws would have left. The hot loop
-// itself lives in txPlan.appendTransmit (plan.go).
+// itself lives in appendTransmit (plan.go).
 //
 // Output bytes and draw accounting are identical to transmitReference (the
 // test oracle in model_ref_test.go) — the golden-seed and differential
 // suites enforce this byte-for-byte.
 func (m *Model) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
+	return appendModel(m, dst, ref, r, scr, &letterAlphabet)
+}
+
+// appendCodes is AppendTransmit emitting 2-bit base codes instead of
+// letters, draw for draw: an intermediate pipeline stage feeds the next
+// stage this way with no ASCII round trip. Types embedding *Model
+// (PCRAmplification, AgingStage) inherit it, so one that overrode
+// AppendTransmit would have to override appendCodes too.
+func (m *Model) appendCodes(dst, ref []dna.Base, r *rng.RNG, scr *Scratch) []dna.Base {
+	return appendModel(m, dst, ref, r, scr, &codeAlphabet)
+}
+
+// appendModel is the body both alphabets share: the plan lookup, one
+// capacity growth to the plan's hint, and the batch bound around the
+// kernel.
+func appendModel[T ~uint8](m *Model, dst []T, ref []dna.Base, r *rng.RNG, scr *Scratch, alpha *[dna.NumBases]T) []T {
 	length := len(ref)
 	if length == 0 {
 		return dst
 	}
 	p := m.plan(length)
 	if need := len(dst) + p.capHint; cap(dst) < need {
-		grown := make([]byte, len(dst), need)
+		grown := make([]T, len(dst), need)
 		copy(grown, dst)
 		dst = grown
 	}
 	d := &scr.batch
 	d.Bind(r, length+8)
-	dst = p.appendTransmit(dst, ref, d)
+	dst = appendTransmit(p, dst, ref, d, alpha)
 	d.Unbind()
 	return dst
 }

@@ -144,3 +144,100 @@ func TestPipelineAggregateIncomplete(t *testing.T) {
 		t.Errorf("partial rate = %v, want 0.02", rate)
 	}
 }
+
+// asciiRoundTrip is the pipeline's former intermediate path, kept as the
+// differential oracle for the code buffers: every intermediate stage
+// appends its read as ASCII through AppendTransmit, and the letters are
+// decoded back into codes for the next stage.
+func asciiRoundTrip(p Pipeline, dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
+	var chans []Channel
+	for _, st := range p.Stages {
+		if ch, ok := st.(Channel); ok {
+			chans = append(chans, ch)
+		}
+	}
+	if len(chans) == 0 {
+		return dna.AppendLetters(dst, ref)
+	}
+	codes := ref
+	for _, ch := range chans[:len(chans)-1] {
+		codes = appendBaseCodes(nil, ch.AppendTransmit(nil, codes, r, scr))
+	}
+	return chans[len(chans)-1].AppendTransmit(dst, codes, r, scr)
+}
+
+// TestPipelineCodePathMatchesASCIIOracle: the code buffers must leave
+// every byte and every draw where the ASCII round trip left them — the
+// same read after a caller's prefix in dst, and the same RNG state after
+// the call — across seeds, reference lengths 0 to 110, pipelines built by
+// constructor and by the grammar (naive= included), rates that delete an
+// intermediate read whole, and intermediate stages outside the Model
+// family, which keep the ASCII path.
+func TestPipelineCodePathMatchesASCIIOracle(t *testing.T) {
+	build := func(spec string) Pipeline {
+		t.Helper()
+		l, err := ParseStages(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.Build(spec)
+	}
+	pool := RandomReferences(8, 110, 61)
+	chim, err := NewChimera(NewNaive("chim", EqualMix(0.03)), pool, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harsh := build("naive=0.05:0.02:0.6,naive=0.02:0.02:0.5,sequencing=0.05")
+	for _, pipe := range []Pipeline{
+		NewPhysicalPipeline("physical", 0.059, 10),
+		NewStoragePipeline("storage", 0.059, 10),
+		build("synthesis=0.0118,naive=0.01:0.005:0.02,pcr=30:0.0001:0.02,aging=100:3e-05:0.00133,sequencing=0.0413:terminal-skew"),
+		build("naive=0.2:0.1:0.3,naive=0.1:0.2:0.1"),
+		harsh,
+		{Label: "dnasimulator-mid", Stages: []Stage{
+			NewSynthesisStage(0.02), NewDNASimulator("dnasim", DefaultNanoporeDict()), NewPCRAmplification(30, 0.0005, 0.02), NewNaive("n", EqualMix(0.03)),
+		}},
+		{Label: "chimera-mid", Stages: []Stage{
+			NewNaive("a", EqualMix(0.04)), chim, NewAgingStage(100, 3e-05, 0.00133), truncChannel{}, NewSequencingStage(NanoporeMix(0.04), PaperLongDeletion(), nil),
+		}},
+		{Label: "pool-between", Stages: []Stage{
+			GCBias{Strength: 1.5}, NewNaive("a", EqualMix(0.05)), Dropout{P: 0.1}, NewNaive("b", EqualMix(0.05)),
+		}},
+	} {
+		t.Run(pipe.Name(), func(t *testing.T) {
+			var scrNew, scrOld Scratch
+			var dst []byte
+			for _, n := range []int{0, 1, 2, 3, 5, 17, 110} {
+				for seed := uint64(0); seed < 150; seed++ {
+					ref := pool[seed%uint64(len(pool))][:n]
+					codes := ref.AppendBases(nil)
+					rNew, rOld := rng.New(seed), rng.New(seed)
+					dst = append(dst[:0], "GATTACA"...)
+					dst = pipe.AppendTransmit(dst, codes, rNew, &scrNew)
+					want := asciiRoundTrip(pipe, []byte("GATTACA"), codes, rOld, &scrOld)
+					if string(dst) != string(want) {
+						t.Fatalf("len %d seed %d: code path %q, ASCII oracle %q", n, seed, dst, want)
+					}
+					if a, b := rNew.Uint64(), rOld.Uint64(); a != b {
+						t.Fatalf("len %d seed %d: RNG state diverged after the call (%d vs %d)", n, seed, a, b)
+					}
+				}
+			}
+		})
+	}
+
+	// The harsh pipeline must really delete an intermediate read whole,
+	// or the empty-reference hand-off above went untested.
+	first := harsh.Stages[0].(*Model)
+	var scr Scratch
+	empties := 0
+	for seed := uint64(0); seed < 150; seed++ {
+		codes := pool[0][:5].AppendBases(nil)
+		if len(first.appendCodes(nil, codes, rng.New(seed), &scr)) == 0 {
+			empties++
+		}
+	}
+	if empties == 0 {
+		t.Error("no intermediate read came out empty")
+	}
+}

@@ -28,13 +28,16 @@ type Scratch struct {
 	// out when a whole cluster is built in one buffer (simulateCluster).
 	ends  []int
 	batch rng.Batch
-	// stageOut and stageCodes are the pipeline double-buffer: an
-	// intermediate stage writes its ASCII output into stageOut, which is
-	// decoded into stageCodes to feed the next stage (Pipeline.
-	// AppendTransmit). Only the final stage touches the caller's dst, so
-	// a whole multi-stage transmit stays allocation-free once warm.
+	// stageCodes are the pipeline's two code buffers: intermediate stage
+	// k writes its read as base codes into stageCodes[k&1], which stage
+	// k+1 reads as its reference, so no stage writes the buffer it reads
+	// (Pipeline.AppendTransmit). *Model, PCRAmplification and AgingStage
+	// write codes there directly; any other intermediate stage writes
+	// ASCII into stageOut, which is decoded into the code buffer. Only the
+	// final stage touches the caller's dst, so a whole multi-stage
+	// transmit stays allocation-free once warm.
+	stageCodes [2][]dna.Base
 	stageOut   []byte
-	stageCodes []dna.Base
 }
 
 // RefBases returns ref as 2-bit base codes, reusing the arena's buffer.

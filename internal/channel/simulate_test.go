@@ -416,6 +416,24 @@ func TestCoverageByName(t *testing.T) {
 	}
 }
 
+// TestCoverageByNameRejectsBadMean: a NaN, infinite, negative or
+// out-of-int32 mean is an error for every model name, while the bounds
+// themselves are accepted.
+func TestCoverageByNameRejectsBadMean(t *testing.T) {
+	for _, name := range []string{"", "fixed", "negbin", "poisson", "normal"} {
+		for _, mean := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, -1e-9, math.MaxInt32 + 1, 1e300} {
+			if cov, err := CoverageByName(name, mean); err == nil {
+				t.Errorf("CoverageByName(%q, %g) = %v, want an error", name, mean, cov)
+			}
+		}
+		for _, mean := range []float64{0, math.MaxInt32} {
+			if _, err := CoverageByName(name, mean); err != nil {
+				t.Errorf("CoverageByName(%q, %g): %v", name, mean, err)
+			}
+		}
+	}
+}
+
 func TestSimulatorDescribe(t *testing.T) {
 	sim := Simulator{Channel: NewNaive("n", EqualMix(0.01)), Coverage: FixedCoverage(5)}
 	d := sim.Describe()

@@ -60,10 +60,16 @@ func (p Pipeline) Name() string {
 
 // AppendTransmit implements Channel: the reference flows through every
 // strand stage in order, all randomness drawn from r in stage order.
-// Stage k's output bytes are decoded into the arena's staging buffer and
-// fed to stage k+1, with only the final stage appending into the caller's
-// dst — the double-buffered hot path, 0 allocs/op once the arena is warm.
-// With zero strand stages the reference is copied into dst faithfully.
+// Intermediate stages hand base codes to each other through the arena's
+// two code buffers, alternating so a stage never writes the buffer it
+// reads. A stage with the codeAppender kernel (*Model and the types
+// embedding it) writes codes directly; any other stage writes ASCII into
+// the arena's staging buffer, which is decoded into the code buffer. Only
+// the final stage appends letters to the caller's dst — 0 allocs/op once
+// the arena is warm. An empty intermediate output (total deletion) flows
+// through as an empty reference, which downstream Model stages pass
+// unchanged without consuming draws. With zero strand stages the
+// reference is copied into dst faithfully.
 func (p Pipeline) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Scratch) []byte {
 	// Count the strand stages so the last one can append straight into
 	// dst; a slice of them here would put an allocation on the hot path.
@@ -87,19 +93,29 @@ func (p Pipeline) AppendTransmit(dst []byte, ref []dna.Base, r *rng.RNG, scr *Sc
 		if k == n {
 			return ch.AppendTransmit(dst, codes, r, scr)
 		}
-		// Intermediate stage: write into the staging buffer, then decode
-		// to base codes before the buffer is reused — an empty output
-		// (total deletion) flows through as an empty reference, which
-		// downstream Model stages pass unchanged without consuming draws.
-		scr.stageOut = ch.AppendTransmit(scr.stageOut[:0], codes, r, scr)
-		scr.stageCodes = appendBaseCodes(scr.stageCodes[:0], scr.stageOut)
-		codes = scr.stageCodes
+		next := scr.stageCodes[k&1][:0]
+		if ca, ok := ch.(codeAppender); ok {
+			next = ca.appendCodes(next, codes, r, scr)
+		} else {
+			scr.stageOut = ch.AppendTransmit(scr.stageOut[:0], codes, r, scr)
+			next = appendBaseCodes(next, scr.stageOut)
+		}
+		scr.stageCodes[k&1] = next
+		codes = next
 	}
 	return dst // unreachable: the k == n branch always returns
 }
 
-// appendBaseCodes decodes ASCII base letters back into 2-bit codes. The
-// input is pipeline stage output, always valid ACGT.
+// codeAppender is a strand stage that can emit its output as 2-bit base
+// codes (Model.appendCodes), draw for draw what its AppendTransmit would
+// emit as letters.
+type codeAppender interface {
+	appendCodes(dst, ref []dna.Base, r *rng.RNG, scr *Scratch) []dna.Base
+}
+
+// appendBaseCodes decodes ASCII base letters back into 2-bit codes: the
+// output of an intermediate stage without the codeAppender kernel, which
+// must be valid ACGT.
 func appendBaseCodes(dst []dna.Base, letters []byte) []dna.Base {
 	for _, c := range letters {
 		dst = append(dst, dna.MustBase(c))

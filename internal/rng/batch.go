@@ -1,5 +1,7 @@
 package rng
 
+import "math/bits"
+
 // Batched generation. The generator state lives behind a pointer, so every
 // Uint64 call pays four loads and four stores to heap memory; the transmit
 // hot loop makes one draw per base, which makes that traffic measurable.
@@ -126,7 +128,7 @@ func (b *Batch) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := b.Uint64()
-		hi, lo := mul128(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}

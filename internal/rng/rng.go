@@ -8,7 +8,10 @@
 // dependency-free.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random generator. It is not safe for
 // concurrent use; give each goroutine its own, seeded with New (the
@@ -76,28 +79,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul128(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid1 := t & mask
-	c = t >> 32
-	t = aLo*bHi + mid1
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + (t >> 32)
-	return hi, lo
 }
 
 // Bool returns true with probability p.
