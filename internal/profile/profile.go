@@ -149,14 +149,16 @@ func Profile(ds *dataset.Dataset, opts Options) (*ErrorProfile, error) {
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			p := newProfile(strandLen)
-			var r *rng.RNG
-			if opts.RandomizeScripts {
-				r = rng.New(opts.Seed ^ (0x9e3779b97f4a7c15 * uint64(w+1)))
-			}
 			so := make(map[soKey]*SecondOrderStat)
-			ex := extractor{randomize: opts.RandomizeScripts, affine: opts.Affine, affParams: affParams, rng: r}
+			ex := extractor{randomize: opts.RandomizeScripts, affine: opts.Affine, affParams: affParams}
 			for i := lo; i < hi; i++ {
 				c := ds.Clusters[i]
+				if opts.RandomizeScripts {
+					// Seeded from the seed and the cluster index, as the
+					// simulator seeds a cluster, so the tie-breaks do not
+					// depend on how the clusters were split among workers.
+					ex.rng = rng.New(opts.Seed ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
+				}
 				for _, read := range c.Reads {
 					p.addRead(c.Ref, read, ex, so)
 				}

@@ -2,6 +2,8 @@ package profile
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -259,6 +261,25 @@ func TestProfileMergeAcrossWorkers(t *testing.T) {
 	}
 	if !strings.Contains(a.Summary(), "aggregate") {
 		t.Errorf("summary = %q", a.Summary())
+	}
+}
+
+func TestProfileRandomizedSameAtAnyGOMAXPROCS(t *testing.T) {
+	// Randomized tie-breaks draw from a generator per cluster, so the
+	// profile must not depend on how many workers split the clusters.
+	m := channel.NewNaive("n", channel.EqualMix(0.08))
+	ds := simulate(m, 60, 110, 5, 11)
+	prof := func(procs int) *ErrorProfile {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, err := Profile(ds, Options{RandomizeScripts: true, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	one, four := prof(1), prof(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("randomized profile differs between GOMAXPROCS 1 and 4:\n1: %s\n4: %s", one.Summary(), four.Summary())
 	}
 }
 
