@@ -44,8 +44,9 @@ chaos-smoke:
 # then stages) — plus the bit-parallel edit-distance kernel, called
 # directly and through one align.Pattern reused from input to input, and
 # the banded edit-script traceback, each against its full-matrix oracle,
-# and the shift-register Reed–Solomon encoder and clean check against the
-# long-division/syndrome oracle.
+# the shift-register Reed–Solomon encoder and clean check against the
+# long-division/syndrome oracle, and recon's look-ahead pass (weighted and
+# unweighted, forward and reversed) against the mutating-sweep oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadContainer -fuzztime=10s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadPool -fuzztime=10s ./internal/store/
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDistanceAtMost -fuzztime=10s ./internal/align/
 	$(GO) test -run='^$$' -fuzz=FuzzScript -fuzztime=10s ./internal/align/
 	$(GO) test -run='^$$' -fuzz=FuzzRSCodeword -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzPass -fuzztime=10s ./internal/recon/
 
 # Example smoke: build every examples/* program and run it in a temp dir
 # (calibration and trainingdata write files to the working directory).

@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		in          = flag.String("in", "", "clusters file (required)")
-		algNames    = flag.String("algs", "bma,iterative", "comma-separated algorithms: majority, bma, bma-oneway, iterative, iterative-sweep, iterative-twoway, divbma")
+		algNames    = flag.String("algs", "bma,iterative", "comma-separated algorithms: majority, bma, bma-oneway, iterative, iterative-sweep (Iterative's one-way pass alone, i.e. bma-oneway), iterative-twoway, iterative-weighted, divbma, msa")
 		coverage    = flag.Int("coverage", 0, "fixed-coverage subsample (0 = use clusters as-is)")
 		minCoverage = flag.Int("min-coverage", 10, "minimum cluster coverage for subsampling")
 		profiles    = flag.Bool("profiles", false, "print post-reconstruction Hamming/gestalt profiles as CSV")

@@ -46,11 +46,11 @@ func (b BMA) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
 	if len(cluster) == 0 || length <= 0 {
 		return ""
 	}
-	forward := b.pass(cluster, length)
+	forward := pass(cluster, length, b.window(), nil)
 	if b.OneWay {
 		return forward
 	}
-	backward := b.pass(reverseCluster(cluster), length).Reverse()
+	backward := pass(reverseCluster(cluster), length, b.window(), nil).Reverse()
 	return spliceHalves(forward, backward, length)
 }
 
@@ -67,7 +67,7 @@ const (
 // hypothesis maximises the number of window symbols explained; ties break
 // toward the copy's length budget (surplus → insertion, deficit →
 // deletion), then substitution.
-func classify[S ~string | ~[]byte](c S, p int, target []int8, surplus int) int {
+func classify(c dna.Strand, p int, target []int8, surplus int) int {
 	w := len(target) - 1
 	score := func(start, tOff int) int {
 		s := 0
@@ -76,7 +76,7 @@ func classify[S ~string | ~[]byte](c S, p int, target []int8, surplus int) int {
 			if t < 0 {
 				continue
 			}
-			if start+k < len(c) && int8(dna.MustBase(c[start+k])) == t {
+			if start+k < c.Len() && int8(c.At(start+k)) == t {
 				s++
 			}
 		}
@@ -90,16 +90,10 @@ func classify[S ~string | ~[]byte](c S, p int, target []int8, surplus int) int {
 	// Insertion: c[p] is an extra symbol; c[p+1] should be target[0] and
 	// c[p+2..] aligns with target[1..].
 	insScore := -1
-	if p+1 < len(c) && target[0] >= 0 && int8(dna.MustBase(c[p+1])) == target[0] {
+	if p+1 < c.Len() && target[0] >= 0 && int8(c.At(p+1)) == target[0] {
 		insScore = 1 + score(p+2, 1)
 	}
-	best := subScore
-	if delScore > best {
-		best = delScore
-	}
-	if insScore > best {
-		best = insScore
-	}
+	best := max(subScore, delScore, insScore)
 	// Gather the winners, then tie-break.
 	subWins := subScore == best
 	delWins := delScore == best
@@ -118,27 +112,47 @@ func classify[S ~string | ~[]byte](c S, p int, target []int8, surplus int) int {
 	}
 }
 
-// pass runs one forward BMA execution, emitting up to length symbols and
-// stopping early if every copy is exhausted.
+// The weighted pass's reliability rule (WeightedIterative): a copy's
+// weight is multiplied by weightPenalty when it disagrees with the emitted
+// symbol, floored at weightFloor, and by weightReward when it agrees,
+// capped at 1.
+const (
+	weightPenalty = 0.7
+	weightReward  = 1.15
+	weightFloor   = 0.05
+)
+
+// pass runs one forward look-ahead execution over the copies with a
+// look-ahead of w symbols, emitting up to length symbols and stopping
+// early once every copy is exhausted (the tail is then an erasure). It is
+// BMA's pass and the corrective sweep of the Iterative family.
 //
-// Per output position the copies vote with the symbol under their pointer
-// and the plurality symbol is emitted. A copy that voted differently is
-// realigned by look-ahead: the expected window (the emitted symbol plus a
-// columnwise-majority prediction of the next Window symbols from the
-// *agreeing* copies) is compared against the copy under the substitution,
-// deletion and insertion hypotheses, and the pointer advances per the best
-// hypothesis (+1, +0, +2 respectively).
-func (b BMA) pass(cluster []dna.Strand, length int) dna.Strand {
+// Each copy has a pointer. Per output position the copies vote with the
+// symbol under their pointer and the plurality symbol is emitted. A copy
+// that voted differently is realigned by look-ahead: the expected window
+// (the emitted symbol plus a columnwise-majority prediction of the next w
+// symbols from the *agreeing* copies) is compared against the copy under
+// the substitution, deletion and insertion hypotheses, and the pointer
+// advances per the best hypothesis (+1, +0, +2 respectively).
+//
+// With weights nil every copy's vote counts 1. Otherwise weights holds one
+// reliability weight per copy: votes are weight sums, and the pass updates
+// each weight by the weightPenalty/weightReward rule as it goes, leaving
+// the final weights for the refinement.
+func pass(cluster []dna.Strand, length, w int, weights []float64) dna.Strand {
 	ptr := make([]int, len(cluster))
 	out := make([]byte, 0, length)
-	w := b.window()
 	target := make([]int8, w+1)
 	futVotes := make([]voteCounts, w)
 	for i := 0; i < length; i++ {
-		var votes voteCounts
+		var votes weightedVotes
 		for j, c := range cluster {
 			if ptr[j] < c.Len() {
-				votes.add(c.At(ptr[j]))
+				wj := 1.0
+				if weights != nil {
+					wj = weights[j]
+				}
+				votes.add(c.At(ptr[j]), wj)
 			}
 		}
 		maj, ok := votes.winner()
@@ -147,7 +161,8 @@ func (b BMA) pass(cluster []dna.Strand, length int) dna.Strand {
 		}
 		out = append(out, maj.Byte())
 
-		// Predict the next w symbols from copies agreeing at this position.
+		// Predict the next w symbols from copies agreeing at this position
+		// (unweighted: agreement at this position is already the filter).
 		for k := range futVotes {
 			futVotes[k] = voteCounts{}
 		}
@@ -176,7 +191,13 @@ func (b BMA) pass(cluster []dna.Strand, length int) dna.Strand {
 			}
 			if c.At(p) == maj {
 				ptr[j] = p + 1
+				if weights != nil {
+					weights[j] = min(weights[j]*weightReward, 1)
+				}
 				continue
+			}
+			if weights != nil {
+				weights[j] = max(weights[j]*weightPenalty, weightFloor)
 			}
 			surplus := (c.Len() - p) - needed
 			switch classify(c, p, target, surplus) {

@@ -17,26 +17,19 @@ import (
 // Unlike BMA and Iterative it has no sequential sweep, so its residual
 // errors carry no positional direction — at the cost of O(c²·L²) distance
 // computations per cluster for the centre choice.
-type MSA struct {
-	// Rounds bounds re-vote iterations (default 3).
-	Rounds int
-}
+type MSA struct{}
 
-// NewMSA returns the algorithm with default parameters.
-func NewMSA() MSA { return MSA{Rounds: 3} }
+// msaRounds bounds MSA's re-vote iterations.
+const msaRounds = 3
+
+// NewMSA returns the algorithm.
+func NewMSA() MSA { return MSA{} }
 
 // Name implements Reconstructor.
 func (MSA) Name() string { return "MSA" }
 
-func (m MSA) rounds() int {
-	if m.Rounds <= 0 {
-		return 3
-	}
-	return m.Rounds
-}
-
 // Reconstruct implements Reconstructor.
-func (m MSA) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
+func (MSA) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
 	if len(cluster) == 0 || length <= 0 {
 		return ""
 	}
@@ -44,14 +37,7 @@ func (m MSA) Reconstruct(cluster []dna.Strand, length int) dna.Strand {
 	if est.Len() == 0 {
 		return ""
 	}
-	for r := 0; r < m.rounds(); r++ {
-		next := polish(cluster, est)
-		if next == est {
-			break
-		}
-		est = next
-	}
-	return est
+	return refine(cluster, est, nil, msaRounds)
 }
 
 // centerCopy returns the cluster member minimising the total edit distance

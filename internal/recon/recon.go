@@ -2,7 +2,8 @@
 // evaluates simulators with: BMA Look-Ahead (two-way, Batu et al. [3]),
 // the one-way Iterative algorithm (Sabary et al. [21]), Divider BMA, plain
 // per-position majority, and the Two-Way Iterative variant the paper's §4.3
-// proposes as future work.
+// proposes as future work. BMA and the Iterative family run one look-ahead
+// pass (pass); the Iterative family and MSA refine with one loop (refine).
 //
 // A trace-reconstruction algorithm receives the cluster of noisy copies of
 // one reference strand and estimates the reference. Per the DNA-storage
@@ -12,6 +13,7 @@ package recon
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -115,19 +117,18 @@ func (v *voteCounts) winner() (dna.Base, bool) {
 
 // ByName returns a built-in reconstructor configured with defaults, for
 // CLI flag parsing. Known names: majority, bma, bma-oneway, iterative,
-// iterative-twoway, divbma.
+// iterative-sweep (Iterative's one-way pass without refinement, which is
+// bma-oneway), iterative-twoway, iterative-weighted, divbma, msa.
 func ByName(name string) (Reconstructor, bool) {
 	switch name {
 	case "majority":
 		return Majority{}, true
 	case "bma":
 		return NewBMA(), true
-	case "bma-oneway":
+	case "bma-oneway", "iterative-sweep":
 		return NewOneWayBMA(), true
 	case "iterative":
 		return NewIterative(), true
-	case "iterative-sweep":
-		return NewSweepOnlyIterative(), true
 	case "iterative-twoway":
 		return NewTwoWayIterative(), true
 	case "iterative-weighted":
@@ -147,11 +148,24 @@ func All() []Reconstructor {
 	return []Reconstructor{NewBMA(), NewDividerBMA(), NewIterative(), NewTwoWayIterative(), NewWeightedIterative(), NewMSA(), Majority{}}
 }
 
-// reverseCluster returns a new slice with every copy reversed.
+// reverseCluster returns a new slice with every copy reversed, the
+// reversed copies cut from one string.
 func reverseCluster(cluster []dna.Strand) []dna.Strand {
+	size := 0
+	for _, c := range cluster {
+		size += c.Len()
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, c := range cluster {
+		for k := c.Len() - 1; k >= 0; k-- {
+			sb.WriteByte(c[k])
+		}
+	}
+	all := dna.Strand(sb.String())
 	out := make([]dna.Strand, len(cluster))
 	for i, c := range cluster {
-		out[i] = c.Reverse()
+		out[i], all = all[:c.Len()], all[c.Len():]
 	}
 	return out
 }

@@ -14,8 +14,8 @@ import (
 
 func allAlgorithms() []Reconstructor {
 	return []Reconstructor{
-		Majority{}, NewBMA(), NewOneWayBMA(), NewIterative(), NewSweepOnlyIterative(),
-		NewTwoWayIterative(), NewDividerBMA(),
+		Majority{}, NewBMA(), NewOneWayBMA(), NewIterative(), NewTwoWayIterative(),
+		NewWeightedIterative(), NewDividerBMA(), NewMSA(),
 	}
 }
 
@@ -111,7 +111,7 @@ func TestAllCopiesTruncated(t *testing.T) {
 	ref := dna.Strand("ACGTACGTACGTACGTACGT")
 	short := ref[:12]
 	cluster := []dna.Strand{short, short, short}
-	for _, alg := range []Reconstructor{Majority{}, NewOneWayBMA(), NewIterative(), NewSweepOnlyIterative()} {
+	for _, alg := range []Reconstructor{Majority{}, NewOneWayBMA(), NewIterative(), NewWeightedIterative()} {
 		got := alg.Reconstruct(cluster, ref.Len())
 		if got != short {
 			t.Errorf("%s: got %q, want the surviving prefix %q", alg.Name(), got, short)

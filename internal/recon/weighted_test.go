@@ -77,11 +77,3 @@ func TestWeightedIterativeRobustToContamination(t *testing.T) {
 		t.Errorf("weighted per-char %.2f not above plain %.2f under contamination", weighted.PerChar, plain.PerChar)
 	}
 }
-
-func TestWeightedParamsDefaults(t *testing.T) {
-	w := WeightedIterative{Penalty: 2, Reward: 0.5, Window: -1, PolishRounds: -1}
-	window, penalty, reward, rounds := w.params()
-	if window != 3 || penalty != 0.7 || reward != 1.15 || rounds != 0 {
-		t.Errorf("params = %d %v %v %d", window, penalty, reward, rounds)
-	}
-}
