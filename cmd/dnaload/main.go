@@ -47,6 +47,7 @@ import (
 	"dnastore/internal/chaosnet"
 	"dnastore/internal/client"
 	"dnastore/internal/fleet"
+	"dnastore/internal/rng"
 	"dnastore/internal/server"
 )
 
@@ -235,12 +236,7 @@ type arrival struct {
 }
 
 // splitmix64 derives independent per-arrival seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func splitmix64(x uint64) uint64 { return rng.Mix64(x + 0x9e3779b97f4a7c15) }
 
 // planArrival decides arrival i's flavor deterministically from the seed.
 func planArrival(i int, cfg loadConfig) arrival {

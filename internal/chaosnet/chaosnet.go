@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dnastore/internal/rng"
 )
 
 // Fault names one injected failure mode.
@@ -310,15 +312,6 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
-// splitmix64 mixes the seed and connection index into an independent
-// per-connection RNG seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // draw picks this connection's fault from the scenario weights.
 func (p *Proxy) draw(r *rand.Rand) Fault {
 	sc := p.sc
@@ -362,7 +355,9 @@ func (p *Proxy) handle(client net.Conn, idx uint64) {
 	defer p.untrack(client)
 	defer client.Close()
 
-	r := rand.New(rand.NewSource(int64(splitmix64(p.seed ^ idx))))
+	// Mix the seed and connection index into an independent
+	// per-connection RNG seed.
+	r := rand.New(rand.NewSource(int64(rng.Mix64((p.seed ^ idx) + 0x9e3779b97f4a7c15))))
 	fault := p.draw(r)
 	if p.blackholed.Load() {
 		fault = FaultBlackhole

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dnastore/internal/dna"
+	"dnastore/internal/rng"
 )
 
 // Archive encodes whole byte payloads into indexed DNA strands and decodes
@@ -387,16 +388,6 @@ func whiten(chunk []byte, idx int) {
 	state := uint64(idx)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	for i := range chunk {
 		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		chunk[i] ^= byte(z ^ (z >> 31))
+		chunk[i] ^= byte(rng.Mix64(state))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

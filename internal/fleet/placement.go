@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dnastore/internal/client"
+	"dnastore/internal/rng"
 	"dnastore/internal/server"
 )
 
@@ -59,16 +60,6 @@ func fnv64(s string) uint64 {
 	return h.Sum64()
 }
 
-// splitmix64 is the finalizer used to turn (node, shard) into a placement
-// score: a full-avalanche mix, so one shard moving between nodes never
-// correlates with another's placement.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // rank orders nodes for a shard key by rendezvous (highest-random-weight)
 // hashing: every (node, key) pair gets an independent score, and the
 // ranking is the descending score order. The properties the fleet leans
@@ -83,7 +74,9 @@ func rank(nodes []*node, key uint64) []*node {
 	}
 	sc := make([]scored, len(nodes))
 	for i, n := range nodes {
-		sc[i] = scored{n: n, s: splitmix64(fnv64(n.name) ^ key)}
+		// A full-avalanche mix, so one shard moving between nodes never
+		// correlates with another's placement.
+		sc[i] = scored{n: n, s: rng.Mix64((fnv64(n.name) ^ key) + 0x9e3779b97f4a7c15)}
 	}
 	sort.Slice(sc, func(i, j int) bool {
 		if sc[i].s != sc[j].s {

@@ -27,7 +27,13 @@ type RNG struct {
 // splitMix64 advances a SplitMix64 state and returns the next output.
 func splitMix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
+	return Mix64(*state)
+}
+
+// Mix64 is SplitMix64's mixing step, the bijection it applies to its state
+// after adding its increment 0x9e3779b97f4a7c15: a full-avalanche mix for
+// deriving independent seeds and hash scores from structured inputs.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -273,3 +273,15 @@ func TestShuffleUniformity(t *testing.T) {
 		}
 	}
 }
+
+// TestMix64IsSplitMix64Output: Mix64 of the first SplitMix64 state from
+// seed 0 is SplitMix64's published first output for that seed.
+func TestMix64IsSplitMix64Output(t *testing.T) {
+	if got := Mix64(0x9e3779b97f4a7c15); got != 0xe220a8397b1dcdaf {
+		t.Errorf("Mix64 = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+	var state uint64
+	if got := splitMix64(&state); got != 0xe220a8397b1dcdaf {
+		t.Errorf("splitMix64 = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+}

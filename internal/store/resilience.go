@@ -208,8 +208,5 @@ func (p *Pool) RetrieveAdaptive(ctx context.Context, key string, factory Sequenc
 // deriveAttemptSeed splits a fresh sequencing seed per attempt (SplitMix64
 // finalizer), so retries re-roll every stochastic choice.
 func deriveAttemptSeed(seed uint64, attempt int) uint64 {
-	z := seed + uint64(attempt)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(seed + uint64(attempt)*0x9e3779b97f4a7c15)
 }
