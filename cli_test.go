@@ -507,6 +507,50 @@ func TestCLISimRejectsBadCoverage(t *testing.T) {
 	}
 }
 
+// TestCLIGetRejectsBadSequencingFlags: an error rate outside [0,1], a
+// coverage that is not in (0, MaxInt32], a negative retry count and a
+// backoff that is not finite and above 1 are usage errors. dnastore get
+// must exit 1 naming the flag, before it sequences anything, and write no
+// output file — rather than never return (a NaN coverage), blame the pool
+// after three attempts, or quietly run with a default. Hence the timeout.
+func TestCLIGetRejectsBadSequencingFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	work := t.TempDir()
+	pool := filepath.Join(work, "pool.json")
+	src := filepath.Join(work, "doc.txt")
+	if err := os.WriteFile(src, []byte(strings.Repeat("archival payload line\n", 8)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runCLI(t, bin, "dnastore", "put", "-pool", pool, "-key", "doc", "-file", src)
+	for i, tc := range [][2]string{
+		{"-coverage", "NaN"}, {"-coverage", "-5"}, {"-coverage", "Inf"}, {"-coverage", "1e300"},
+		{"-error", "NaN"}, {"-error", "1.5"}, {"-error", "-0.1"},
+		{"-backoff", "NaN"}, {"-backoff", "-2"}, {"-backoff", "1"}, {"-backoff", "Inf"},
+		{"-retries", "-3"},
+	} {
+		out := filepath.Join(work, fmt.Sprintf("out%d.txt", i))
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, filepath.Join(bin, "dnastore"), "get", "-pool", pool, "-key", "doc",
+			"-o", out, tc[0], tc[1])
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		code := cmd.ProcessState.ExitCode()
+		if timedOut || code != 1 || !strings.Contains(stderr.String(), "dnastore: "+tc[0]+" ") ||
+			strings.Contains(stderr.String(), "sequencing at") {
+			t.Errorf("%s %s: exit %d (timed out: %t), stderr:\n%s", tc[0], tc[1], code, timedOut, stderr.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s %s: output file left behind: %v", tc[0], tc[1], err)
+		}
+	}
+}
+
 // TestCLIGenRefusesEmptyRead: a channel harsh enough to delete a short
 // strand whole makes an empty read, which the cluster text format cannot
 // carry. dnagen must fail on it and leave no output file, empty or not.

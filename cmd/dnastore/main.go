@@ -163,6 +163,10 @@ func cmdGet(args []string) error {
 	if *key == "" || *out == "" {
 		return fmt.Errorf("get needs -key and -o")
 	}
+	if err := store.CheckRetrieve([4]string{"-error", "-coverage", "-retries", "-backoff"},
+		*errRate, *coverage, *retries, *backoff); err != nil {
+		return err
+	}
 	logger := logOpts.Logger("dnastore")
 	faults, err := channel.ParseFaults(*faultSpec)
 	if err != nil {

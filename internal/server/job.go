@@ -13,6 +13,7 @@ import (
 	"dnastore/internal/channel"
 	"dnastore/internal/dist"
 	"dnastore/internal/dna"
+	"dnastore/internal/store"
 )
 
 // JobKind selects the workload a job runs.
@@ -272,19 +273,22 @@ func (sp *RetrieveSpec) Validate() error {
 	if sp.PoolPath == "" || sp.Key == "" {
 		return errors.New("retrieve spec needs pool_path and key")
 	}
-	if sp.ErrorRate < 0 || sp.ErrorRate > 1 {
-		return fmt.Errorf("error_rate %v out of [0,1]", sp.ErrorRate)
-	}
 	if sp.Coverage <= 0 {
 		sp.Coverage = 14
+	}
+	// A zero backoff means RetryPolicy's default, 2.
+	backoff := sp.Backoff
+	if backoff == 0 {
+		backoff = 2
+	}
+	if err := store.CheckRetrieve([4]string{"error_rate", "coverage", "retries", "backoff"},
+		sp.ErrorRate, sp.Coverage, sp.Retries, backoff); err != nil {
+		return err
 	}
 	// The pool's size is only known once the job loads it, so admission
 	// bounds the coverage as if the pool held a single base.
 	if err := checkWork(1, sp.Coverage); err != nil {
 		return err
-	}
-	if sp.Retries < 0 {
-		return fmt.Errorf("retries %d negative", sp.Retries)
 	}
 	_, err := channel.ParseFaults(sp.Faults)
 	return err

@@ -53,3 +53,31 @@ func TestSpecWorkBoundAdmitsToolSpecs(t *testing.T) {
 		t.Errorf("retrieve: rejected: %v", err)
 	}
 }
+
+// TestRetrieveSpecChecksSequencing: a retrieve spec goes through dnastore
+// get's parameter check, so a backoff of 1 or below is rejected rather
+// than silently replaced by the default; 0 still means the default.
+func TestRetrieveSpecChecksSequencing(t *testing.T) {
+	base := RetrieveSpec{PoolPath: "pool.dnap", Key: "k", Coverage: 14, Retries: 2}
+	for name, edit := range map[string]func(*RetrieveSpec){
+		"backoff 0.5":    func(sp *RetrieveSpec) { sp.Backoff = 0.5 },
+		"backoff 1":      func(sp *RetrieveSpec) { sp.Backoff = 1 },
+		"backoff -2":     func(sp *RetrieveSpec) { sp.Backoff = -2 },
+		"retries -3":     func(sp *RetrieveSpec) { sp.Retries = -3 },
+		"error_rate 1.5": func(sp *RetrieveSpec) { sp.ErrorRate = 1.5 },
+		"error_rate -.1": func(sp *RetrieveSpec) { sp.ErrorRate = -0.1 },
+	} {
+		sp := base
+		edit(&sp)
+		if err := sp.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+	}
+	for _, backoff := range []float64{0, 1.5} {
+		sp := base
+		sp.Backoff = backoff
+		if err := sp.Validate(); err != nil {
+			t.Errorf("backoff %v: rejected: %v", backoff, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"dnastore/internal/channel"
 	"dnastore/internal/dna"
@@ -121,6 +122,28 @@ type RetryPolicy struct {
 	// OnAttempt, when set, observes each finished attempt: its report and
 	// its error (nil on success). Used by CLIs to stream progress.
 	OnAttempt func(attempt int, rep RetrieveReport, err error)
+}
+
+// CheckRetrieve checks the parameters of a retrieval through a simulated
+// sequencer: an error rate in [0,1], a mean coverage above 0 and at most
+// math.MaxInt32 (past that no coverage model yields a read count, as
+// channel.CoverageByName says), a non-negative retry count and a finite
+// coverage backoff above 1. RetrieveAdaptive would otherwise sequence at a
+// NaN or absurd coverage, or quietly replace a bad retry count or backoff
+// with its default. names are the parameters' names in that order, as the
+// caller's user knows them (flags or spec fields), for the error message.
+func CheckRetrieve(names [4]string, errRate, coverage float64, retries int, backoff float64) error {
+	switch {
+	case !(errRate >= 0 && errRate <= 1):
+		return fmt.Errorf("%s %v out of [0,1]", names[0], errRate)
+	case !(coverage > 0 && coverage <= math.MaxInt32):
+		return fmt.Errorf("%s %v out of range (0, %d]", names[1], coverage, math.MaxInt32)
+	case retries < 0:
+		return fmt.Errorf("%s %d negative", names[2], retries)
+	case !(backoff > 1) || math.IsInf(backoff, 1):
+		return fmt.Errorf("%s %v must be finite and above 1", names[3], backoff)
+	}
+	return nil
 }
 
 // RetrieveAdaptive runs the resilient read path end to end: sequence the
