@@ -147,29 +147,29 @@ func pass(cluster []dna.Strand, length, w int, weights []float64) dna.Strand {
 	for i := 0; i < length; i++ {
 		var votes weightedVotes
 		for j, c := range cluster {
-			if ptr[j] < c.Len() {
+			if p := ptr[j]; p < len(c) {
 				wj := 1.0
 				if weights != nil {
 					wj = weights[j]
 				}
-				votes.add(c.At(ptr[j]), wj)
+				votes.add(c.At(p), wj)
 			}
 		}
 		maj, ok := votes.winner()
 		if !ok {
 			break // all copies exhausted: the tail is an erasure
 		}
-		out = append(out, maj.Byte())
+		// Every symbol under a pointer decoded above, so the copies can be
+		// compared with the emitted letter byte for byte.
+		mb := maj.Byte()
+		out = append(out, mb)
 
 		// Predict the next w symbols from copies agreeing at this position
 		// (unweighted: agreement at this position is already the filter).
-		for k := range futVotes {
-			futVotes[k] = voteCounts{}
-		}
+		clear(futVotes)
 		for j, c := range cluster {
-			p := ptr[j]
-			if p < c.Len() && c.At(p) == maj {
-				for k := 1; k <= w && p+k < c.Len(); k++ {
+			if p := ptr[j]; p < len(c) && c[p] == mb {
+				for k := 1; k <= w && p+k < len(c); k++ {
 					futVotes[k-1].add(c.At(p + k))
 				}
 			}
@@ -186,10 +186,10 @@ func pass(cluster []dna.Strand, length, w int, weights []float64) dna.Strand {
 		needed := length - i // symbols still owed, including this one
 		for j, c := range cluster {
 			p := ptr[j]
-			if p >= c.Len() {
+			if p >= len(c) {
 				continue
 			}
-			if c.At(p) == maj {
+			if c[p] == mb {
 				ptr[j] = p + 1
 				if weights != nil {
 					weights[j] = min(weights[j]*weightReward, 1)
@@ -199,7 +199,7 @@ func pass(cluster []dna.Strand, length, w int, weights []float64) dna.Strand {
 			if weights != nil {
 				weights[j] = max(weights[j]*weightPenalty, weightFloor)
 			}
-			surplus := (c.Len() - p) - needed
+			surplus := (len(c) - p) - needed
 			switch classify(c, p, target, surplus) {
 			case hypIns:
 				ptr[j] = p + 2
