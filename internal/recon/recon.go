@@ -1,8 +1,8 @@
 // Package recon implements the trace-reconstruction algorithms the paper
 // evaluates simulators with: BMA Look-Ahead (two-way, Batu et al. [3]),
-// the one-way Iterative algorithm (Sabary et al. [21]), Divider BMA, plain
-// per-position majority, and the Two-Way Iterative variant the paper's §4.3
-// proposes as future work. BMA and the Iterative family run one look-ahead
+// the one-way Iterative algorithm (Sabary et al. [21]), Divider BMA,
+// center-star MSA, plain per-position majority, and the Two-Way and
+// Weighted Iterative variants the paper's §4.3 proposes as future work. BMA and the Iterative family run one look-ahead
 // pass (pass); the Iterative family and MSA refine with one loop (refine).
 //
 // A trace-reconstruction algorithm receives the cluster of noisy copies of
