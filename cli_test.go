@@ -6,10 +6,12 @@ package dnastore
 // the reported numbers are sane.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,7 +42,7 @@ func buildCLIs(t *testing.T) string {
 		if cliErr != nil {
 			return
 		}
-		for _, tool := range []string{"dnagen", "dnaprofile", "dnasim", "dnarecon", "dnacluster", "dnabench", "dnastore"} {
+		for _, tool := range []string{"dnagen", "dnaprofile", "dnasim", "dnarecon", "dnacluster", "dnabench", "dnastore", "dnasimd"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(cliDir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -548,6 +550,73 @@ func TestCLIGetRejectsBadSequencingFlags(t *testing.T) {
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("%s %s: output file left behind: %v", tc[0], tc[1], err)
 		}
+	}
+}
+
+// TestCLISimdRejectsBadFlags: a dnasimd flag value the service would
+// replace with its default, or a negative count or duration, exits 2 and
+// names the flag before the listener binds. A negative -stall-after or
+// -probe-interval still means "disabled", and the daemon serves.
+func TestCLISimdRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := filepath.Join(buildCLIs(t), "dnasimd")
+	for _, tc := range [][2]string{
+		{"-queue", "-5"}, {"-queue", "0"}, {"-workers", "-1"}, {"-max-attempts", "0"},
+		{"-stall-after", "0"}, {"-drain-grace", "0"}, {"-job-timeout", "-1s"},
+		{"-breaker-failures", "0"}, {"-breaker-cooldown", "-1s"},
+		{"-shard-clusters", "-1"}, {"-hedge-after", "-1s"}, {"-max-shard-attempts", "-1"},
+		{"-probe-interval", "0"}, {"-cache-entries", "-1"}, {"-cache-bytes", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", tc[0], tc[1])
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		code := cmd.ProcessState.ExitCode()
+		if timedOut || code != 2 || !strings.Contains(stderr.String(), "dnasimd: "+tc[0]+" ") ||
+			strings.Contains(stderr.String(), "listening on") {
+			t.Errorf("%s %s: exit %d (timed out: %t), stderr:\n%s", tc[0], tc[1], code, timedOut, stderr.String())
+		}
+	}
+
+	// Disabled stall detection and probing: the daemon gets as far as
+	// binding its listener.
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-stall-after", "-1s", "-probe-interval", "-1s")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	serving := make(chan struct{})
+	readDone := make(chan struct{})
+	var out bytes.Buffer // read once readDone is closed
+	go func() {
+		defer close(readDone)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			out.WriteString(sc.Text() + "\n")
+			if strings.Contains(sc.Text(), "listening on") {
+				close(serving)
+				io.Copy(io.Discard, stderr)
+			}
+		}
+	}()
+	select {
+	case <-serving:
+	case <-readDone:
+	case <-time.After(30 * time.Second):
+	}
+	cmd.Process.Kill()
+	<-readDone
+	cmd.Wait()
+	if !strings.Contains(out.String(), "listening on") {
+		t.Errorf("dnasimd -stall-after -1s -probe-interval -1s did not serve, stderr:\n%s", out.String())
 	}
 }
 

@@ -80,6 +80,34 @@ func main() {
 		logOpts = obs.LogFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	// The service would replace each of these out-of-range values with its
+	// default (or, for a negative timeout, with none) and run on without a
+	// word, so a typo is refused before the listener binds.
+	for _, f := range []struct {
+		name string
+		bad  bool
+		want string
+	}{
+		{"queue", *queueCap < 1, "must be positive"},
+		{"workers", *workers < 0, "must not be negative"},
+		{"max-attempts", *maxAttempts < 1, "must be positive"},
+		{"stall-after", *stallAfter == 0, "must not be 0 (negative disables)"},
+		{"drain-grace", *drainGrace <= 0, "must be positive"},
+		{"job-timeout", *jobTimeout < 0, "must not be negative"},
+		{"breaker-failures", *brkFails < 1, "must be positive"},
+		{"breaker-cooldown", *brkCooldown <= 0, "must be positive"},
+		{"shard-clusters", *shardClusters < 1, "must be positive"},
+		{"hedge-after", *hedgeAfter < 0, "must not be negative"},
+		{"max-shard-attempts", *maxShardAtt < 0, "must not be negative"},
+		{"probe-interval", *probeInterval == 0, "must not be 0 (negative disables)"},
+		{"cache-entries", *cacheEntries < 1, "must be positive"},
+		{"cache-bytes", *cacheBytes < 1, "must be positive"},
+	} {
+		if f.bad {
+			fmt.Fprintf(os.Stderr, "dnasimd: -%s %s, got %s\n", f.name, f.want, flag.Lookup(f.name).Value)
+			os.Exit(2)
+		}
+	}
 
 	logger := log.New(os.Stderr, "dnasimd: ", log.LstdFlags)
 	slogger := logOpts.Logger("dnasimd")
@@ -106,6 +134,7 @@ func main() {
 			DataDir:          *coordDataDir,
 			SpillBytes:       *cacheBytes,
 			ProbeInterval:    *probeInterval,
+			DrainGrace:       *drainGrace,
 			BreakerThreshold: *brkFails,
 			BreakerCooldown:  *brkCooldown,
 			Logger:           slogger,

@@ -62,9 +62,6 @@ func TestDistanceAtMost(t *testing.T) {
 			t.Errorf("DistanceAtMost(%q,%q,%d) = %d, want %d", c.a, c.b, c.k, d, c.d)
 		}
 	}
-	if Similar("ACGT", "ACGA", 1) != true {
-		t.Error("Similar failed")
-	}
 	if _, ok := DistanceAtMost("A", "T", -1); ok {
 		t.Error("negative k should fail")
 	}
@@ -193,7 +190,7 @@ func bandedDistanceAtMost(a, b string, k int) (int, bool) {
 	return row[n], true
 }
 
-// checkAgainstOracle compares Distance, DistanceAtMost and Similar on
+// checkAgainstOracle compares Distance and DistanceAtMost on
 // (a, b, k) with want, the oracle's distance, and with the banded DP, and
 // then pat, Reset to each string in turn and scanned against the other.
 // A caller that passes one pat across many pairs of assorted lengths and
@@ -213,9 +210,6 @@ func checkAgainstOracle(t *testing.T, pat *Pattern, a, b string, k, want int) {
 	}
 	if bd, bok := bandedDistanceAtMost(a, b, k); bd != d || bok != ok {
 		t.Fatalf("banded DP (%d, %v) and DistanceAtMost (%d, %v) disagree on (%q, %q, %d)", bd, bok, d, ok, a, b, k)
-	}
-	if Similar(a, b, k) != wantOK {
-		t.Fatalf("Similar(%q, %q, %d) = %v, want %v", a, b, k, !wantOK, wantOK)
 	}
 	for _, c := range [2][2]string{{a, b}, {b, a}} {
 		pat.Reset(c[0])
@@ -285,7 +279,7 @@ func TestDistanceAtMostDifferential(t *testing.T) {
 // input: the fuzz function runs its inputs one at a time.
 var fuzzPattern Pattern
 
-// FuzzDistanceAtMost checks DistanceAtMost, Distance, Similar and a reused
+// FuzzDistanceAtMost checks DistanceAtMost, Distance and a reused
 // Pattern against the full-matrix oracle on arbitrary bytes.
 func FuzzDistanceAtMost(f *testing.F) {
 	f.Add("KITTEN", "SITTING", 3)

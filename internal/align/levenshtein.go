@@ -29,12 +29,6 @@ func DistanceAtMost(a, b string, k int) (int, bool) {
 	return p.DistanceAtMost(a, k)
 }
 
-// Similar reports whether the edit distance between a and b is at most k.
-func Similar(a, b string, k int) bool {
-	_, ok := DistanceAtMost(a, b, k)
-	return ok
-}
-
 // Stack budget of a Pattern: patterns of up to stackWords·64 symbols with
 // at most stackSymbols-1 distinct bytes (the four bases plus a few others)
 // keep every bit vector inside the Pattern and on the caller's stack.

@@ -45,8 +45,9 @@ func (e ClusterError) Unwrap() error { return e.Err }
 // completed (or checkpoint-restored) cluster with the number completed so
 // far and the total requested. Calls come from simulation worker
 // goroutines concurrently, so implementations must be safe for concurrent
-// use — typically an atomic timestamp or counter. The watchdog in
-// internal/server uses it to detect stalled jobs.
+// use — typically an atomic timestamp or counter. The dnasimd worker in
+// internal/server stamps a job's progress with it, and its stall timer
+// reads the stamp to detect stalled attempts.
 type ProgressFunc func(completed, total int)
 
 // progressKey carries a ProgressFunc through a context.

@@ -20,14 +20,16 @@ type PrimerConfig struct {
 	// Length is the primer length in bases (default 20, the deployed
 	// standard).
 	Length int
-	// MinPairDistance is the minimum edit distance between any two primers
-	// in a library (default Length/3).
-	MinPairDistance int
-	// GCLow, GCHigh bound the GC-ratio (defaults 0.45 and 0.55).
-	GCLow, GCHigh float64
-	// MaxHomopolymer bounds run lengths (default 2).
-	MaxHomopolymer int
 }
+
+// The standalone primer constraints: a GC ratio in [primerGCLow,
+// primerGCHigh] and no homopolymer run longer than primerMaxHomopolymer.
+// Two primers of one library are at least Length/3 edits apart.
+const (
+	primerGCLow          = 0.45
+	primerGCHigh         = 0.55
+	primerMaxHomopolymer = 2
+)
 
 func (c PrimerConfig) length() int {
 	if c.Length <= 0 {
@@ -36,42 +38,16 @@ func (c PrimerConfig) length() int {
 	return c.Length
 }
 
-func (c PrimerConfig) minDist() int {
-	if c.MinPairDistance <= 0 {
-		return c.length() / 3
-	}
-	return c.MinPairDistance
-}
-
-func (c PrimerConfig) gcBounds() (float64, float64) {
-	lo, hi := c.GCLow, c.GCHigh
-	if lo <= 0 {
-		lo = 0.45
-	}
-	if hi <= 0 {
-		hi = 0.55
-	}
-	return lo, hi
-}
-
-func (c PrimerConfig) maxHomopolymer() int {
-	if c.MaxHomopolymer <= 0 {
-		return 2
-	}
-	return c.MaxHomopolymer
-}
-
 // Valid reports whether a candidate satisfies the standalone constraints.
 func (c PrimerConfig) Valid(p dna.Strand) bool {
 	if p.Len() != c.length() {
 		return false
 	}
-	lo, hi := c.gcBounds()
 	gc := p.GCRatio()
-	if gc < lo || gc > hi {
+	if gc < primerGCLow || gc > primerGCHigh {
 		return false
 	}
-	return !p.HasHomopolymerOver(c.maxHomopolymer())
+	return !p.HasHomopolymerOver(primerMaxHomopolymer)
 }
 
 // GeneratePrimers searches randomly for n mutually-distant valid primers.
@@ -84,6 +60,7 @@ func GeneratePrimers(n int, cfg PrimerConfig, r *rng.RNG) ([]dna.Strand, error) 
 	const attemptsPer = 20000
 	lib := make([]dna.Strand, 0, n)
 	buf := make([]byte, cfg.length())
+	minDist := cfg.length() / 3
 	var pat align.Pattern // the candidate, scanned against the library
 	for len(lib) < n {
 		found := false
@@ -98,7 +75,7 @@ func GeneratePrimers(n int, cfg PrimerConfig, r *rng.RNG) ([]dna.Strand, error) 
 			pat.Reset(string(cand))
 			ok := true
 			for _, p := range lib {
-				if _, near := pat.DistanceAtMost(string(p), cfg.minDist()-1); near {
+				if _, near := pat.DistanceAtMost(string(p), minDist-1); near {
 					ok = false
 					break
 				}

@@ -97,8 +97,6 @@ type Config struct {
 	Client client.Config
 	// Logger receives structured coordinator logs (default: discard).
 	Logger *slog.Logger
-	// Registry receives fleet metrics; nil allocates a private registry.
-	Registry *obs.Registry
 }
 
 // Coordinator drives a fleet of worker dnasimd nodes. It embeds the same
@@ -167,9 +165,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	c := &Coordinator{
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheCapacity),
@@ -200,9 +195,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c.Server = server.NewFrontEnd(server.Config{
 		DrainGrace: cfg.DrainGrace,
 		Logger:     cfg.Logger,
-		Registry:   cfg.Registry,
 	}, "f", executor{c})
-	c.metrics = newFleetMetrics(c, cfg.Registry)
+	c.metrics = newFleetMetrics(c, c.Registry())
 	c.cache.evictions = c.metrics.evictions
 	if c.spill != nil {
 		c.spill.hits = c.metrics.spillHits

@@ -346,10 +346,3 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	return nil
 }
-
-// defaultRegistry backs the package-level helpers for binaries that want
-// one process-wide registry without threading it around.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }

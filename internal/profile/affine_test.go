@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dnastore/internal/align"
 	"dnastore/internal/channel"
 )
 
@@ -60,13 +59,5 @@ func TestAffineOptionsValidation(t *testing.T) {
 	ds := simulate(m, 20, 60, 3, 33)
 	if _, err := Profile(ds, Options{Affine: true, RandomizeScripts: true}); err == nil {
 		t.Error("affine + randomized accepted")
-	}
-	// Custom affine params flow through.
-	p, err := Profile(ds, Options{Affine: true, AffineParams: align.AffineParams{Mismatch: 2, GapOpen: 3, GapExtend: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Reads == 0 {
-		t.Error("no reads profiled")
 	}
 }

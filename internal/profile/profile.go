@@ -100,11 +100,8 @@ type Options struct {
 	// Affine extracts edit scripts under affine gap costs (Gotoh) instead
 	// of unit costs: contiguous burst deletions stay grouped, sharpening
 	// the fitted long-deletion statistics. Mutually exclusive with
-	// RandomizeScripts.
+	// RandomizeScripts. The costs are align.DefaultAffine().
 	Affine bool
-	// AffineParams overrides the affine costs; the zero value uses
-	// align.DefaultAffine().
-	AffineParams align.AffineParams
 }
 
 // Profile extracts the error profile of a dataset. Erasure clusters are
@@ -121,10 +118,6 @@ func Profile(ds *dataset.Dataset, opts Options) (*ErrorProfile, error) {
 	}
 	if opts.Affine && opts.RandomizeScripts {
 		return nil, fmt.Errorf("profile: Affine and RandomizeScripts are mutually exclusive")
-	}
-	affParams := opts.AffineParams
-	if opts.Affine && affParams == (align.AffineParams{}) {
-		affParams = align.DefaultAffine()
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -150,7 +143,7 @@ func Profile(ds *dataset.Dataset, opts Options) (*ErrorProfile, error) {
 			defer wg.Done()
 			p := newProfile(strandLen)
 			so := make(map[soKey]*SecondOrderStat)
-			ex := extractor{randomize: opts.RandomizeScripts, affine: opts.Affine, affParams: affParams}
+			ex := extractor{randomize: opts.RandomizeScripts, affine: opts.Affine}
 			for i := lo; i < hi; i++ {
 				c := ds.Clusters[i]
 				if opts.RandomizeScripts {
@@ -209,16 +202,15 @@ func newProfile(strandLen int) *ErrorProfile {
 type extractor struct {
 	randomize bool
 	affine    bool
-	affParams align.AffineParams
 	rng       *rng.RNG
 }
 
 // script extracts the edit script under the configured policy.
 func (e extractor) script(ref, read dna.Strand) []align.Op {
 	if e.affine {
-		ops, err := align.AffineScript(string(ref), string(read), e.affParams)
+		ops, err := align.AffineScript(string(ref), string(read), align.DefaultAffine())
 		if err != nil {
-			// Parameters were validated up front; this is unreachable.
+			// DefaultAffine is valid; this is unreachable.
 			panic(err)
 		}
 		return ops

@@ -395,7 +395,8 @@ type Job struct {
 	done chan struct{}
 
 	// lastProgress is the unix-nano timestamp of the last observed cluster
-	// completion (or attempt start); the watchdog compares it to now.
+	// completion (or attempt start); the worker's stall timer compares it
+	// to now.
 	lastProgress atomic.Int64
 }
 
@@ -464,7 +465,7 @@ func (j *Job) sinceProgress() time.Duration {
 	return time.Duration(time.Now().UnixNano() - j.lastProgress.Load())
 }
 
-// setProgress records cluster completion counts (and stamps the watchdog
+// setProgress records cluster completion counts (and stamps the stall
 // clock). Safe for concurrent use.
 func (j *Job) setProgress(completed, total int) {
 	j.touch()

@@ -9,8 +9,9 @@ import (
 // grows past its capacity — an overloaded service answers "come back
 // later" (HTTP 503 + Retry-After) instead of accumulating a backlog it
 // can neither bound in memory nor finish before clients give up. Requeues
-// of already-admitted jobs (watchdog kills) bypass the capacity check and
-// jump the line: admitted work is finished before new work is started.
+// of already-admitted jobs (a worker's stall kill, a retried failure)
+// bypass the capacity check and jump the line: admitted work is finished
+// before new work is started.
 
 // ErrQueueFull is returned by push when the queue is at capacity — the
 // load-shedding signal.

@@ -10,9 +10,9 @@ import (
 // retryAfterFixture builds just enough of a Server to exercise retryAfter
 // without spinning up an executor: backlog jobs sit in the queued tally,
 // and a draining phase starts its drain window now.
-func retryAfterFixture(est, grace time.Duration, workers, backlog int, phase Phase) *Server {
+func retryAfterFixture(grace time.Duration, workers, backlog int, phase Phase) *Server {
 	s := &Server{
-		cfg:   Config{EstimatedJobTime: est, Workers: workers, DrainGrace: grace},
+		cfg:   Config{Workers: workers, DrainGrace: grace},
 		phase: phase,
 	}
 	if phase != PhaseServing {
@@ -27,32 +27,32 @@ func retryAfterFixture(est, grace time.Duration, workers, backlog int, phase Pha
 // must not surface as 0 (which tells clients "retry immediately", defeating
 // the shed), and an absurd estimate or drain window is capped rather than
 // converted through an out-of-range float→int. The same clamp serves a
-// single node and a fleet coordinator, in every phase.
+// single node and a fleet coordinator, in every phase. A queue_full
+// estimate is 2 s (estimatedJobTime) × (backlog+1) ÷ workers.
 func TestRetryAfterIsValidDeltaSeconds(t *testing.T) {
 	cases := []struct {
 		name    string
 		phase   Phase
 		reason  string
-		est     time.Duration
 		grace   time.Duration
 		workers int
 		backlog int
 		want    int
 	}{
-		{"sub-second estimate clamps to 1", PhaseServing, shedQueueFull, 10 * time.Millisecond, 0, 4, 0, 1},
-		{"zero backlog sub-second", PhaseServing, shedQueueFull, 900 * time.Millisecond, 0, 1, 0, 1},
-		{"fractional rounds up", PhaseServing, shedQueueFull, 1250 * time.Millisecond, 0, 1, 0, 2},
-		{"backlog scales estimate", PhaseServing, shedQueueFull, 2 * time.Second, 0, 2, 3, 4},
-		{"zero workers treated as one", PhaseServing, shedQueueFull, time.Second, 0, 0, 1, 2},
-		{"absurd estimate caps at one hour", PhaseServing, shedQueueFull, 1 << 62, 0, 1, 8, maxRetryAfterSeconds},
-		{"unready executor floors at 1", PhaseServing, "", 2 * time.Second, 0, 1, 8, 1},
-		{"draining hint is the drain window", PhaseDraining, shedDraining, time.Hour, 5 * time.Second, 1, 8, 5},
-		{"oversized drain window caps at one hour", PhaseDraining, shedDraining, 0, 48 * time.Hour, 1, 0, maxRetryAfterSeconds},
-		{"expired drain window floors at 1", PhaseStopped, shedDraining, 0, -time.Hour, 1, 0, 1},
+		{"sub-second estimate clamps to 1", PhaseServing, shedQueueFull, 0, 4, 0, 1},
+		{"zero backlog sub-second", PhaseServing, shedQueueFull, 0, 3, 0, 1},
+		{"fractional rounds up", PhaseServing, shedQueueFull, 0, 4, 2, 2},
+		{"backlog scales estimate", PhaseServing, shedQueueFull, 0, 2, 3, 4},
+		{"zero workers treated as one", PhaseServing, shedQueueFull, 0, 0, 1, 4},
+		{"absurd estimate caps at one hour", PhaseServing, shedQueueFull, 0, 1, 1 << 40, maxRetryAfterSeconds},
+		{"unready executor floors at 1", PhaseServing, "", 0, 1, 8, 1},
+		{"draining hint is the drain window", PhaseDraining, shedDraining, 5 * time.Second, 1, 8, 5},
+		{"oversized drain window caps at one hour", PhaseDraining, shedDraining, 48 * time.Hour, 1, 0, maxRetryAfterSeconds},
+		{"expired drain window floors at 1", PhaseStopped, shedDraining, -time.Hour, 1, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := retryAfterFixture(tc.est, tc.grace, tc.workers, tc.backlog, tc.phase)
+			s := retryAfterFixture(tc.grace, tc.workers, tc.backlog, tc.phase)
 			got := s.retryAfter(tc.reason)
 			if got != tc.want {
 				t.Fatalf("retryAfter(%q) = %d, want %d", tc.reason, got, tc.want)
@@ -66,14 +66,12 @@ func TestRetryAfterIsValidDeltaSeconds(t *testing.T) {
 
 // TestShedHeaderParsesAsInteger asserts the header a shed client actually
 // sees: present, parseable with strconv.Atoi (no fractional seconds, no
-// HTTP-date), and at least 1 — even when EstimatedJobTime is far below a
-// second.
+// HTTP-date), and the backlog estimate of an idle one-worker server, 2 s.
 func TestShedHeaderParsesAsInteger(t *testing.T) {
 	s := New(Config{
-		Workers:          1,
-		QueueCapacity:    1,
-		EstimatedJobTime: 5 * time.Millisecond,
-		StallAfter:       -1,
+		Workers:       1,
+		QueueCapacity: 1,
+		StallAfter:    -1,
 	})
 	defer s.Drain()
 
@@ -91,8 +89,8 @@ func TestShedHeaderParsesAsInteger(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Retry-After %q is not an integer: %v", h, err)
 	}
-	if sec < 1 {
-		t.Fatalf("Retry-After = %d, want >= 1", sec)
+	if sec != 2 {
+		t.Fatalf("Retry-After = %d, want 2", sec)
 	}
 	if got := s.Registry().Snapshot()[`dnasimd_jobs_shed_total{reason="queue_full"}`]; got != 1 {
 		t.Fatalf("shed counter = %v, want 1", got)

@@ -20,8 +20,9 @@
 //   - Deadline propagation: per-job (and server-default) timeouts flow as
 //     context deadlines into SimulateCtx / RetrieveAdaptive.
 //   - Supervision: per-cluster panic isolation (SimulateCtx), a top-level
-//     recover per attempt, and a stall watchdog that kills attempts making
-//     no cluster progress and requeues them under an attempt cap.
+//     recover per attempt, and a per-attempt stall timer in the worker that
+//     kills attempts making no cluster progress and requeues them under an
+//     attempt cap.
 //   - Circuit breaker: pool/disk I/O trips open on consecutive failures
 //     and fails fast until a half-open probe succeeds.
 //   - Graceful drain: SIGTERM stops admission, lets in-flight jobs finish
@@ -77,11 +78,9 @@ type Config struct {
 	// MaxAttempts caps supervised retries per job (default 3).
 	MaxAttempts int
 	// StallAfter is how long a running job may go without completing a
-	// cluster before the watchdog kills the attempt (default 30s;
-	// negative disables).
+	// cluster before its worker kills the attempt (default 30s; negative
+	// disables).
 	StallAfter time.Duration
-	// WatchdogInterval is the stall scan period (default 1s).
-	WatchdogInterval time.Duration
 	// KillGrace is how long a killed attempt gets to exit voluntarily
 	// before the worker abandons its goroutine (default 2s).
 	KillGrace time.Duration
@@ -94,8 +93,6 @@ type Config struct {
 	// breaker (defaults 5 failures, 10s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// EstimatedJobTime seeds the Retry-After estimate (default 2s).
-	EstimatedJobTime time.Duration
 	// WrapSimulation, when set, wraps every simulation job's channel and
 	// coverage model — the chaos-drill injection point for panic, stall
 	// and latency injectors.
@@ -103,10 +100,11 @@ type Config struct {
 	// Logger receives structured per-request and per-job logs (job IDs,
 	// outcomes, stage timings, drain and retry events; default: discard).
 	Logger *slog.Logger
-	// Registry receives the server's metrics; nil allocates a private
-	// registry (exposed via Server.Registry and GET /metrics either way).
-	Registry *obs.Registry
 }
+
+// estimatedJobTime is the per-job time behind the queue_full Retry-After
+// estimate.
+const estimatedJobTime = 2 * time.Second
 
 // Executor runs the jobs the front-end admits. It holds only the calls the
 // front-end makes; everything a client can observe stays in the Server.
@@ -148,6 +146,7 @@ func (e *ShedError) Unwrap() error { return e.Err }
 // binary wires it to a net/http.Server and signal handling.
 type Server struct {
 	cfg      Config
+	registry *obs.Registry
 	exec     Executor
 	idPrefix string
 	metrics  *frontMetrics
@@ -167,7 +166,7 @@ type Server struct {
 }
 
 // New starts a serving single-node Server over the local executor:
-// workers and watchdog are live on return.
+// workers are live on return.
 func New(cfg Config) *Server {
 	e := &localExec{}
 	s := NewFrontEnd(cfg, "j", e)
@@ -177,9 +176,9 @@ func New(cfg Config) *Server {
 }
 
 // NewFrontEnd returns a serving front-end over exec, allocating job IDs as
-// idPrefix plus a six-digit sequence. It applies every Config default; the
-// front-end itself reads only DrainGrace, EstimatedJobTime and Workers
-// (the Retry-After hints), Logger and Registry.
+// idPrefix plus a six-digit sequence, with a registry of its own for the
+// metrics. It applies every Config default; the front-end itself reads
+// only DrainGrace and Workers (the Retry-After hints) and Logger.
 func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 64
@@ -193,26 +192,18 @@ func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 	if cfg.StallAfter == 0 {
 		cfg.StallAfter = 30 * time.Second
 	}
-	if cfg.WatchdogInterval <= 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	if cfg.KillGrace <= 0 {
 		cfg.KillGrace = 2 * time.Second
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 30 * time.Second
 	}
-	if cfg.EstimatedJobTime <= 0 {
-		cfg.EstimatedJobTime = 2 * time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Discard()
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	s := &Server{
 		cfg:      cfg,
+		registry: obs.NewRegistry(),
 		exec:     exec,
 		idPrefix: idPrefix,
 		slog:     cfg.Logger,
@@ -220,14 +211,14 @@ func NewFrontEnd(cfg Config, idPrefix string, exec Executor) *Server {
 		jobs:     make(map[string]*Job),
 		idem:     make(map[string]string),
 	}
-	s.metrics = newFrontMetrics(s, cfg.Registry)
+	s.metrics = newFrontMetrics(s, s.registry)
 	s.routes()
 	return s
 }
 
 // Registry returns the server's metrics registry (also served from
 // GET /metrics).
-func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
+func (s *Server) Registry() *obs.Registry { return s.registry }
 
 // Finish moves a job to a terminal state and, if this call actually
 // performed the transition, records outcome and latency exactly once.
@@ -408,7 +399,7 @@ const maxRetryAfterSeconds = 3600
 // instance has exited and its replacement (or the load balancer) can take
 // the retry — and the shed path and /readyz hear the same number. A
 // queue_full shed gets the backlog estimate: queued plus running jobs
-// spread across the workers at EstimatedJobTime each. Every other refusal
+// spread across the workers at estimatedJobTime each. Every other refusal
 // (an unready executor, a ledger hiccup) clears on the order of probe
 // ticks, so its hint is the 1-second floor.
 func (s *Server) retryAfter(reason string) int {
@@ -425,7 +416,7 @@ func (s *Server) retryAfter(reason string) int {
 		sec = rem.Seconds()
 	case reason == shedQueueFull:
 		backlog := s.counts.queued.Load() + s.counts.running.Load()
-		sec = s.cfg.EstimatedJobTime.Seconds() * float64(backlog+1) / float64(max(s.cfg.Workers, 1))
+		sec = estimatedJobTime.Seconds() * float64(backlog+1) / float64(max(s.cfg.Workers, 1))
 	}
 	return clampRetryAfter(sec)
 }
@@ -517,7 +508,7 @@ func (s *Server) routes() {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.Handle("GET /metrics", s.cfg.Registry.Handler())
+	mux.Handle("GET /metrics", s.registry.Handler())
 	s.mux = mux
 }
 

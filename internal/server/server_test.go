@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,9 +25,6 @@ func testServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
-	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = 20 * time.Millisecond
 	}
 	if cfg.StallAfter == 0 {
 		cfg.StallAfter = -1 // most tests don't want stall kills
@@ -266,8 +264,8 @@ func TestJobDeadlineExceededFails(t *testing.T) {
 }
 
 // TestWatchdogKillsStallAndRetryIsByteIdentical is the supervision core:
-// an attempt that stops making cluster progress is killed by the
-// watchdog, requeued, and the retry — the stall window over — produces
+// an attempt that stops making cluster progress is killed by its worker's
+// stall timer, requeued, and the retry — the stall window over — produces
 // output byte-identical to an undisturbed sequential run.
 func TestWatchdogKillsStallAndRetryIsByteIdentical(t *testing.T) {
 	release := make(chan struct{})
@@ -311,6 +309,50 @@ func TestWatchdogKillsStallAndRetryIsByteIdentical(t *testing.T) {
 	}
 	if done := snap[`dnasimd_jobs_finished_total{outcome="done"}`]; done != 1 {
 		t.Errorf("finished{done} = %v, want 1", done)
+	}
+}
+
+// TestStallTimerRearmsOnProgress: the stall window runs from the last
+// cluster completed, not from the attempt's start. Clusters that each take
+// about StallAfter/3 keep an attempt alive well past 3×StallAfter: the
+// timer re-arms on every firing, and the job finishes on its first attempt
+// with no kill.
+func TestStallTimerRearmsOnProgress(t *testing.T) {
+	const stallAfter = 300 * time.Millisecond
+	s := testServer(t, Config{
+		Workers:    1,
+		StallAfter: stallAfter,
+		WrapSimulation: func(ch channel.Channel, cov channel.CoverageModel) (channel.Channel, channel.CoverageModel) {
+			// Four reads per cluster (fixed coverage 4).
+			return faults.SlowChannel{Base: ch, Delay: stallAfter / 12}, cov
+		},
+	})
+	spec := simSpec(17)
+	// Twelve clusters per simulation worker: each worker sleeps through at
+	// least 12×StallAfter/3, so the attempt lasts 4×StallAfter or more.
+	spec.Simulate.NumRefs = 12 * runtime.GOMAXPROCS(0)
+	start := time.Now()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := awaitTerminal(t, j, 60*time.Second)
+	if elapsed := time.Since(start); elapsed <= 3*stallAfter {
+		t.Fatalf("job took %v, want more than 3×StallAfter = %v", elapsed, 3*stallAfter)
+	}
+	if st.State != StateDone || st.Attempts != 1 {
+		t.Fatalf("state = %v on attempt %d (%s), want done on attempt 1", st.State, st.Attempts, st.Error)
+	}
+	got, _ := j.Result()
+	if want := sequentialResult(t, spec.Simulate); !bytes.Equal(got, want) {
+		t.Error("output differs from sequential run")
+	}
+	snap := s.Registry().Snapshot()
+	if kills := snap["dnasimd_watchdog_kills_total"]; kills != 0 {
+		t.Errorf("kill counter = %v, want 0", kills)
+	}
+	if rq := snap["dnasimd_job_requeues_total"]; rq != 0 {
+		t.Errorf("requeue counter = %v, want 0", rq)
 	}
 }
 

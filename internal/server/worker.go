@@ -18,39 +18,37 @@ import (
 // worker pool. Each worker pops admitted jobs and runs them under full
 // supervision: a per-attempt cancellable context carrying the deadline and
 // the progress hook, panic isolation (both the per-cluster isolation
-// inside SimulateCtx and a top-level recover for everything else), and the
-// cancel-and-abandon protocol for attempts the watchdog kills. Simulation
-// jobs execute through the per-cluster split-RNG scheme, so a job's output
-// is byte-identical regardless of worker count, stall kills, or requeue
-// history.
+// inside SimulateCtx and a top-level recover for everything else), a stall
+// timer, and the cancel-and-abandon protocol for attempts it kills.
+// Simulation jobs execute through the per-cluster split-RNG scheme, so a
+// job's output is byte-identical regardless of worker count, stall kills,
+// or requeue history.
+
+// ErrStalled is the cancellation cause of an attempt that went StallAfter
+// without cluster progress. settle maps it to a requeue (bounded by the
+// attempt cap) rather than a failure: a stall is usually environmental
+// and transient, so the job deserves another worker.
+var ErrStalled = errors.New("server: job stalled (no cluster progress)")
 
 // localExec is the single-node Executor.
 type localExec struct {
 	s        *Server
 	cfg      Config
 	queue    *jobQueue
-	dog      *watchdog
 	breaker  *Breaker
 	metrics  localMetrics
 	workerWG sync.WaitGroup
 }
 
-// start wires the executor to its front-end and starts the workers and
-// the watchdog.
+// start wires the executor to its front-end and starts the workers.
 func (e *localExec) start(s *Server) {
 	e.s, e.cfg = s, s.cfg
 	e.queue = newJobQueue(e.cfg.QueueCapacity)
 	e.breaker = NewBreaker(e.cfg.BreakerThreshold, e.cfg.BreakerCooldown)
-	e.metrics = newLocalMetrics(e, e.cfg.Registry)
-	// Supervision events flow into the metric surface through hooks so the
-	// watchdog and breaker stay observable without importing obs
-	// themselves. Both hooks are installed before any goroutine that can
-	// fire them starts (the watchdog scan loop starts inside newWatchdog;
-	// the breaker is only exercised by workers started below).
-	e.dog = newWatchdog(e.cfg.WatchdogInterval, e.cfg.StallAfter, func(j *Job) {
-		e.metrics.kills.Inc()
-		e.s.slog.Warn("watchdog kill", "job", j.ID, "stall_after", e.cfg.StallAfter)
-	})
+	e.metrics = newLocalMetrics(e, s.Registry())
+	// Breaker transitions flow into the metric surface through a hook so
+	// the breaker stays observable without importing obs itself. The hook
+	// is installed before the workers, its only callers, start.
 	e.breaker.onTransition = func(from, to BreakerState) {
 		if c := e.metrics.breakerTo[to]; c != nil {
 			c.Inc()
@@ -106,7 +104,6 @@ func (e *localExec) Drain() {
 		}
 		<-workersDone
 	}
-	e.dog.close()
 }
 
 // errCanceledByClient is the cancellation cause for DELETE /v1/jobs/{id}.
@@ -147,10 +144,10 @@ func (e *localExec) worker() {
 // runJob executes one attempt of j and settles its fate: terminal state,
 // or a requeue for another attempt.
 func (e *localExec) runJob(j *Job) {
-	// The attempt context: cancellable with a cause (watchdog kill, client
+	// The attempt context: cancellable with a cause (stall kill, client
 	// cancel, drain), bounded by the per-job or server-default deadline,
 	// and carrying the progress hook that feeds both the status endpoint
-	// and the watchdog.
+	// and the stall timer.
 	base, cancel := context.WithCancelCause(context.Background())
 	timeout := time.Duration(j.Spec.TimeoutMS) * time.Millisecond
 	if timeout <= 0 {
@@ -193,8 +190,6 @@ func (e *localExec) runJob(j *Job) {
 		return
 	}
 	j.touch()
-	e.dog.watch(j)
-	defer e.dog.unwatch(j)
 	defer cancel(nil)
 
 	// Execute in a child goroutine so a wedged attempt can be abandoned:
@@ -213,16 +208,44 @@ func (e *localExec) runJob(j *Job) {
 		resCh <- e.execute(ctx, j)
 	}()
 
+	// The stall timer fires StallAfter past the last progress stamp: when
+	// the attempt has completed a cluster since it was armed, it is
+	// re-armed for the rest of the window; otherwise the attempt is killed
+	// with ErrStalled. A non-positive StallAfter arms nothing.
+	var stall *time.Timer
+	var stallC <-chan time.Time
+	if e.cfg.StallAfter > 0 {
+		stall = time.NewTimer(e.cfg.StallAfter)
+		defer stall.Stop()
+		stallC = stall.C
+	}
 	var out jobOutcome
 	abandoned := false
-	select {
-	case out = <-resCh:
-	case <-ctx.Done():
+wait:
+	for {
 		select {
 		case out = <-resCh:
-		case <-time.After(e.cfg.KillGrace):
-			abandoned = true
-			out = jobOutcome{err: fmt.Errorf("server: attempt %d abandoned: %w", attempt, context.Cause(ctx))}
+			break wait
+		case <-stallC:
+			if idle := j.sinceProgress(); idle < e.cfg.StallAfter {
+				stall.Reset(e.cfg.StallAfter - idle)
+				continue
+			}
+			// Not re-armed, the timer stays quiet; a context already done
+			// (client cancel, drain, deadline) takes the case below.
+			if ctx.Err() == nil {
+				cancel(fmt.Errorf("%w after %s", ErrStalled, e.cfg.StallAfter))
+				e.metrics.kills.Inc()
+				e.s.slog.Warn("watchdog kill", "job", j.ID, "stall_after", e.cfg.StallAfter)
+			}
+		case <-ctx.Done():
+			select {
+			case out = <-resCh:
+			case <-time.After(e.cfg.KillGrace):
+				abandoned = true
+				out = jobOutcome{err: fmt.Errorf("server: attempt %d abandoned: %w", attempt, context.Cause(ctx))}
+			}
+			break wait
 		}
 	}
 	e.metrics.attemptSecs.Observe(time.Since(attemptStart).Seconds())

@@ -109,20 +109,22 @@ type RetryPolicy struct {
 	// Backoff is the multiplicative coverage escalation per failed attempt
 	// (default 2).
 	Backoff float64
-	// MaxScale caps the cumulative escalation factor (default 8): with many
-	// attempts, unbounded exponential growth would demand absurd sequencing
-	// depth long after extra coverage stopped helping.
-	MaxScale float64
-	// Jitter spreads each retry's scale by a uniform ±fraction (default
-	// 0.1, clamped to 0.5; negative disables). The perturbation is derived
-	// deterministically from the retrieval seed and attempt number, so runs
-	// stay reproducible while retries avoid re-rolling an identical
-	// configuration.
-	Jitter float64
 	// OnAttempt, when set, observes each finished attempt: its report and
 	// its error (nil on success). Used by CLIs to stream progress.
 	OnAttempt func(attempt int, rep RetrieveReport, err error)
 }
+
+// The coverage escalation's bounds. retryMaxScale caps the cumulative
+// factor: with many attempts, unbounded exponential growth would demand
+// absurd sequencing depth long after extra coverage stopped helping.
+// retryJitter spreads each retry's scale by a uniform ±fraction, derived
+// deterministically from the retrieval seed and attempt number, so runs
+// stay reproducible while retries avoid re-rolling an identical
+// configuration.
+const (
+	retryMaxScale = 8
+	retryJitter   = 0.1
+)
 
 // CheckRetrieve checks the parameters of a retrieval through a simulated
 // sequencer: an error rate in [0,1], a mean coverage above 0 and at most
@@ -163,19 +165,6 @@ func (p *Pool) RetrieveAdaptive(ctx context.Context, key string, factory Sequenc
 	if backoff <= 1 {
 		backoff = 2
 	}
-	maxScale := pol.MaxScale
-	if maxScale <= 0 {
-		maxScale = 8
-	}
-	jitter := pol.Jitter
-	switch {
-	case jitter < 0:
-		jitter = 0
-	case jitter == 0:
-		jitter = 0.1
-	case jitter > 0.5:
-		jitter = 0.5
-	}
 	// An unknown key is not retryable: fail before sequencing anything.
 	if _, ok := p.keys[key]; !ok {
 		return nil, RetrieveReport{Key: key}, 0, fmt.Errorf("store: unknown key %q", key)
@@ -190,12 +179,12 @@ func (p *Pool) RetrieveAdaptive(ctx context.Context, key string, factory Sequenc
 			break
 		}
 		attempts = attempt
-		effScale := min(scale, maxScale)
-		if jitter > 0 && attempt > 1 {
+		effScale := min(scale, retryMaxScale)
+		if attempt > 1 {
 			// Seed-derived, attempt-indexed perturbation: deterministic for a
 			// given retrieval, different across attempts.
 			u := rng.New(deriveAttemptSeed(seed^0x6a09e667f3bcc908, attempt)).Float64()
-			effScale *= 1 + jitter*(2*u-1)
+			effScale *= 1 + retryJitter*(2*u-1)
 		}
 		ch, cov := factory(attempt, effScale)
 		timer := obs.TimerFrom(ctx)

@@ -4,13 +4,28 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"dnastore/internal/channel"
 	"dnastore/internal/codec"
 	"dnastore/internal/obs"
+	"dnastore/internal/rng"
 )
+
+// oracleScale is the coverage scale RetrieveAdaptive hands its factory on
+// attempt a of a retrieval seeded with seed: backoff^(a-1) capped at 8,
+// and on a retry spread by ±10% with a uniform draw from a generator
+// seeded by SplitMix64 over (seed ^ 0x6a09e667f3bcc908, a).
+func oracleScale(seed uint64, a int, backoff float64) float64 {
+	s := math.Min(math.Pow(backoff, float64(a-1)), 8)
+	if a > 1 {
+		u := rng.New(rng.Mix64(seed ^ 0x6a09e667f3bcc908 + uint64(a)*0x9e3779b97f4a7c15)).Float64()
+		s *= 1 + 0.1*(2*u-1)
+	}
+	return s
+}
 
 // testPool builds a pool holding one object whose layout is exactly one
 // parity group: 10 data strands + 6 group parity = 16 designed strands,
@@ -180,9 +195,8 @@ func TestRetrieveAdaptiveEscalatesCoverage(t *testing.T) {
 		n := int(scale)
 		return channel.NewNaive("seq", channel.NanoporeMix(0.025)), channel.FixedCoverage(n)
 	}
-	// Jitter disabled and a high cap keep the doubling exact for assertion.
 	data, _, attempts, err := p.RetrieveAdaptive(context.Background(), "doc", factory,
-		RetryPolicy{MaxAttempts: 6, Backoff: 2, MaxScale: 64, Jitter: -1}, 5)
+		RetryPolicy{MaxAttempts: 6, Backoff: 2}, 5)
 	if err != nil {
 		t.Fatalf("escalation never recovered: %v", err)
 	}
@@ -192,9 +206,9 @@ func TestRetrieveAdaptiveEscalatesCoverage(t *testing.T) {
 	if attempts < 2 {
 		t.Skip("first attempt already recovered; fault too weak to exercise escalation")
 	}
-	for i := 1; i < len(scales); i++ {
-		if scales[i] != scales[i-1]*2 {
-			t.Errorf("scale did not double: %v", scales)
+	for i, got := range scales {
+		if want := oracleScale(5, i+1, 2); got != want {
+			t.Errorf("attempt %d scale = %v, want %v (all: %v)", i+1, got, want, scales)
 		}
 	}
 }
@@ -317,39 +331,34 @@ func TestRetrieveAdaptiveBackoffCapAndJitter(t *testing.T) {
 		}
 	}
 
-	// Cap: with Backoff 2 and MaxScale 4, raw scales 1,2,4,8,16 must clamp
-	// to 1,2,4,4,4 (jitter off to keep them exact).
-	var capped []float64
-	pol := RetryPolicy{MaxAttempts: 5, Backoff: 2, MaxScale: 4, Jitter: -1}
-	p.RetrieveAdaptive(context.Background(), "doc", record(&capped), pol, 3)
-	want := []float64{1, 2, 4, 4, 4}
-	if len(capped) != len(want) {
-		t.Fatalf("saw %d attempts, want %d", len(capped), len(want))
+	// With Backoff 2 the raw scales 1,2,4,8,16,32 clamp to 1,2,4,8,8,8,
+	// and each retry is jittered: every scale is the oracle's, the first
+	// attempt is exact, retries deviate within ±10% of the capped schedule,
+	// and the whole schedule is seed-deterministic.
+	var j1, j2, j3 []float64
+	pol := RetryPolicy{MaxAttempts: 6, Backoff: 2}
+	p.RetrieveAdaptive(context.Background(), "doc", record(&j1), pol, 3)
+	p.RetrieveAdaptive(context.Background(), "doc", record(&j2), pol, 3)
+	p.RetrieveAdaptive(context.Background(), "doc", record(&j3), pol, 4)
+	if len(j1) != 6 {
+		t.Fatalf("saw %d attempts, want 6", len(j1))
 	}
-	for i := range want {
-		if capped[i] != want[i] {
-			t.Errorf("attempt %d scale = %v, want %v (all: %v)", i+1, capped[i], want[i], capped)
+	for i, got := range j1 {
+		if want := oracleScale(3, i+1, 2); got != want {
+			t.Errorf("attempt %d scale = %v, want %v (all: %v)", i+1, got, want, j1)
 		}
 	}
-
-	// Jitter: the first attempt is exact, retries deviate within ±Jitter of
-	// the capped schedule, and the whole schedule is seed-deterministic.
-	var j1, j2, j3 []float64
-	jpol := RetryPolicy{MaxAttempts: 4, Backoff: 2, MaxScale: 8, Jitter: 0.25}
-	p.RetrieveAdaptive(context.Background(), "doc", record(&j1), jpol, 3)
-	p.RetrieveAdaptive(context.Background(), "doc", record(&j2), jpol, 3)
-	p.RetrieveAdaptive(context.Background(), "doc", record(&j3), jpol, 4)
 	if j1[0] != 1 {
 		t.Errorf("first attempt jittered: %v", j1[0])
 	}
-	raw := []float64{1, 2, 4, 8}
+	capped := []float64{1, 2, 4, 8, 8, 8}
 	deviated := false
 	for i := 1; i < len(j1); i++ {
-		lo, hi := raw[i]*0.75, raw[i]*1.25
+		lo, hi := capped[i]*0.9, capped[i]*1.1
 		if j1[i] < lo || j1[i] > hi {
 			t.Errorf("attempt %d scale %v outside [%v, %v]", i+1, j1[i], lo, hi)
 		}
-		if j1[i] != raw[i] {
+		if j1[i] != capped[i] {
 			deviated = true
 		}
 		if j1[i] != j2[i] {

@@ -103,7 +103,7 @@ func TestPrimersAreDistinct(t *testing.T) {
 	// Pairwise distance must exceed twice the mismatch budget.
 	for i := range p.primers {
 		for j := i + 1; j < len(p.primers); j++ {
-			if align.Similar(string(p.primers[i]), string(p.primers[j]), 2*p.opts.PrimerMismatch+1) {
+			if _, ok := align.DistanceAtMost(string(p.primers[i]), string(p.primers[j]), 2*p.opts.PrimerMismatch+1); ok {
 				t.Errorf("primers %d and %d too close", i, j)
 			}
 		}
