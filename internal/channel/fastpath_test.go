@@ -189,3 +189,41 @@ func TestAppendTransmitZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestSimulateAllocs pins the allocation count of a whole Simulate call on
+// two shapes: a naive channel at fixed coverage, and the second-order +
+// spatial model under heavy-tailed coverage, which runs the compiled plan
+// and the work-stealing scheduler together. Most of a simulation's
+// allocations are its output (one read slice per cluster), so the count
+// is exact and the same at any GOMAXPROCS. A count more than 15% and more
+// than 8 allocations above the recorded one fails: that is a lost pooling
+// or escape-analysis optimisation that a timing run would drown in noise.
+func TestSimulateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 600 clusters per run")
+	}
+	for _, tc := range []struct {
+		name     string
+		clusters int
+		sim      Simulator
+		want     float64
+	}{
+		{"naive-fixed8", 200, Simulator{
+			Channel:  NewNaive("alloc", Rates{Sub: 0.01, Ins: 0.005, Del: 0.02}),
+			Coverage: FixedCoverage(8),
+		}, 628},
+		{"secondorder-spatial-negbin", 400, Simulator{
+			Channel:  goldenModelSecondOrder(),
+			Coverage: NegBinCoverage{Mean: 10, Dispersion: 1.2},
+		}, 1209},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refs := RandomReferences(tc.clusters, 110, 1)
+			got := testing.AllocsPerRun(5, func() { tc.sim.Simulate("alloc", refs, 1) })
+			t.Logf("%v allocs per Simulate", got)
+			if got-tc.want > 0.15*tc.want && got-tc.want > 8 {
+				t.Errorf("%v allocs per Simulate, want at most 15%% and 8 above %v", got, tc.want)
+			}
+		})
+	}
+}
