@@ -91,17 +91,15 @@ bench:
 bench-check:
 	$(GO) run ./cmd/dnabench -compare BENCH_sim.json -compare-report BENCH_compare.txt
 
-# Capacity & conservation gate, two entries in BENCH_serve.json: the
-# single dnasimd server driven through the chaosnet fault proxy, and a
-# 3-node fleet coordinator (crash-consistent ledger + spill on a temp
-# dir). Both fail hard on any lost / duplicated / corrupted job, refresh
-# their entry, and fail on capacity regression against the committed
-# baseline (dnaload reads the baseline before rewriting the file, so one
-# run both measures and gates). After an intentional capacity change,
-# re-run and commit the refreshed BENCH_serve.json.
+# Capacity & conservation drills: the single dnasimd server driven
+# through the chaosnet fault proxy, and a 3-node fleet coordinator
+# (crash-consistent ledger + spill on a temp dir). Each prints its outcome
+# ledger, latency and capacity, and fails on any lost / duplicated /
+# corrupted job or when no run succeeded. It writes no file; paired timing
+# against the parent commit is bench/'s job.
 loadcheck:
-	$(GO) run ./cmd/dnaload -rps 60 -jobs 90 -chaos -out BENCH_serve.json -compare BENCH_serve.json
-	$(GO) run ./cmd/dnaload -rps 40 -jobs 60 -fleet-nodes 3 -out BENCH_serve.json -compare BENCH_serve.json
+	$(GO) run ./cmd/dnaload -rps 60 -jobs 90 -chaos
+	$(GO) run ./cmd/dnaload -rps 40 -jobs 60 -fleet-nodes 3
 
 # Multi-node drills under the race detector: a coordinator over worker
 # dnasimd servers with a forced node death mid-shard (plus the hedge and

@@ -42,7 +42,7 @@ func buildCLIs(t *testing.T) string {
 		if cliErr != nil {
 			return
 		}
-		for _, tool := range []string{"dnagen", "dnaprofile", "dnasim", "dnarecon", "dnacluster", "dnabench", "dnastore", "dnasimd"} {
+		for _, tool := range []string{"dnagen", "dnaprofile", "dnasim", "dnarecon", "dnacluster", "dnabench", "dnastore", "dnasimd", "dnaload"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(cliDir, tool), "./cmd/"+tool)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -617,6 +617,36 @@ func TestCLISimdRejectsBadFlags(t *testing.T) {
 	cmd.Wait()
 	if !strings.Contains(out.String(), "listening on") {
 		t.Errorf("dnasimd -stall-after -1s -probe-interval -1s did not serve, stderr:\n%s", out.String())
+	}
+}
+
+// TestCLILoadRejectsBadFlags: a dnaload rate, count, fraction or timeout
+// out of range exits 2 and names the flag before any server starts,
+// instead of panicking (-jobs -1), firing nothing (-jobs 0) or firing
+// every arrival at once (-rps 0).
+func TestCLILoadRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := filepath.Join(buildCLIs(t), "dnaload")
+	for _, tc := range [][2]string{
+		{"-rps", "0"}, {"-rps", "-3"}, {"-rps", "NaN"}, {"-rps", "+Inf"},
+		{"-jobs", "-1"}, {"-jobs", "0"}, {"-fleet-nodes", "-1"},
+		{"-huge-frac", "1.5"}, {"-dup-frac", "-0.1"}, {"-cancel-frac", "NaN"},
+		{"-workers", "-1"}, {"-queue", "0"}, {"-call-timeout", "0"}, {"-run-timeout", "-1s"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, bin, tc[0], tc[1])
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		code := cmd.ProcessState.ExitCode()
+		if timedOut || code != 2 || !strings.Contains(stderr.String(), "dnaload: "+tc[0]+" ") || stdout.Len() > 0 {
+			t.Errorf("%s %s: exit %d (timed out: %t), stdout:\n%s\nstderr:\n%s",
+				tc[0], tc[1], code, timedOut, stdout.String(), stderr.String())
+		}
 	}
 }
 

@@ -13,22 +13,20 @@
 //
 // The traffic mix is deterministic in -seed: small and huge specs,
 // deliberate duplicate submissions of earlier specs, and mid-flight
-// cancels. Measurements land in BENCH_serve.json (-out) and gate against
-// a committed baseline (-compare); `make loadcheck` wires both.
+// cancels. The run prints its outcome ledger, latency percentiles and
+// capacity, and exits 1 when any job was lost, duplicated or corrupted,
+// or when no run succeeded; `make loadcheck` runs the single-node chaos
+// drill and the fleet drill. Paired timing across commits is bench/'s job.
 //
 // Usage:
 //
 //	dnaload -rps 60 -jobs 90 -chaos           # self-contained drill
-//	dnaload -out BENCH_serve.json -compare BENCH_serve.json
-//	                                          # emit + regression gate
 //	dnaload -target http://host:8080 -rps 200 # drive an external server
 //	dnaload -fleet-nodes 3 -rps 40 -jobs 60   # drive an in-process 3-node fleet
 //
 // With -fleet-nodes the harness stands up N in-process worker servers plus
 // a crash-consistent fleet coordinator (ledger + spill on a temp dir) and
-// drives the coordinator instead — same arrivals, same conservation gate,
-// recorded as a separate "fleet" entry in the report so single-node and
-// fleet capacity regress independently.
+// drives the coordinator instead — same arrivals, same conservation check.
 package main
 
 import (
@@ -36,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -68,40 +67,39 @@ func main() {
 		queueCap   = flag.Int("queue", 256, "in-process server queue capacity")
 		callTO     = flag.Duration("call-timeout", 500*time.Millisecond, "client per-call timeout")
 		runTO      = flag.Duration("run-timeout", 60*time.Second, "per-job end-to-end budget")
-		out        = flag.String("out", "", "write the BENCH_serve.json report to this path")
-		compare    = flag.String("compare", "", "gate against this baseline report; exit 1 on regression")
-		p95Factor  = flag.Float64("p95-factor", 2.5, "with -compare: allowed p95 latency growth factor")
-		tputFrac   = flag.Float64("throughput-frac", 0.4, "with -compare: required fraction of baseline clusters/s")
-		shedSlack  = flag.Float64("shed-slack", 0.25, "with -compare: allowed absolute shed-rate increase")
 		verbose    = flag.Bool("v", false, "per-run outcome lines")
 	)
 	flag.Parse()
-
-	// Each measurement lands as a named entry in the report file: "single"
-	// for the one-server drive, "fleet" for the coordinator drive. The
-	// regression gate compares like against like.
-	entryName := "single"
-	if *fleetNodes > 0 {
-		entryName = "fleet"
-	}
-
-	// Read the baseline before anything can overwrite it: -out and
-	// -compare may (deliberately) name the same committed file, so one
-	// invocation both refreshes the measurement and gates against the
-	// previous one.
-	var baseline *loadReport
-	if *compare != "" {
-		b, err := loadLoadBaseline(*compare, entryName)
-		if err != nil {
-			fail(err)
+	// Out of range, these would panic (-jobs -1), fire nothing (-jobs 0),
+	// fire every arrival at once (-rps 0) or hand a server a value it
+	// silently replaces, so they are refused before any server starts.
+	inFrac := func(f float64) bool { return f >= 0 && f <= 1 }
+	for _, f := range []struct {
+		name string
+		bad  bool
+		want string
+	}{
+		{"rps", !(*rps > 0) || math.IsInf(*rps, 1), "must be finite and positive"},
+		{"jobs", *jobs < 1, "must be positive"},
+		{"fleet-nodes", *fleetNodes < 0, "must not be negative"},
+		{"huge-frac", !inFrac(*hugeFrac), "must be in [0, 1]"},
+		{"dup-frac", !inFrac(*dupFrac), "must be in [0, 1]"},
+		{"cancel-frac", !inFrac(*cancelFrac), "must be in [0, 1]"},
+		{"workers", *workers < 0, "must not be negative"},
+		{"queue", *queueCap < 1, "must be positive"},
+		{"call-timeout", *callTO <= 0, "must be positive"},
+		{"run-timeout", *runTO <= 0, "must be positive"},
+	} {
+		if f.bad {
+			fmt.Fprintf(os.Stderr, "dnaload: -%s %s, got %s\n", f.name, f.want, flag.Lookup(f.name).Value)
+			os.Exit(2)
 		}
-		baseline = b
 	}
 
 	cfg := loadConfig{
 		RPS: *rps, Jobs: *jobs, Seed: *seed, Chaos: *chaos,
 		HugeFrac: *hugeFrac, DupFrac: *dupFrac, CancelFrac: *cancelFrac,
-		Workers: *workers, Queue: *queueCap, FleetNodes: *fleetNodes,
+		FleetNodes: *fleetNodes,
 	}
 
 	// Wire the target: an in-process server by default (its registry is
@@ -206,24 +204,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	rep.Name = entryName
 	fmt.Print(rep.Render())
-
-	if *out != "" {
-		if err := rep.write(*out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "dnaload: wrote report -> %s\n", *out)
-	}
-	if rep.Lost > 0 || rep.Duplicated > 0 || rep.Corrupted > 0 {
-		fail(fmt.Errorf("conservation violated: lost=%d duplicated=%d corrupted=%d",
-			rep.Lost, rep.Duplicated, rep.Corrupted))
-	}
-	if baseline != nil {
-		if err := compareLoad(baseline, rep, *p95Factor, *tputFrac, *shedSlack); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(os.Stderr, "dnaload: regression gate passed")
+	if err := rep.check(); err != nil {
+		fail(err)
 	}
 }
 
