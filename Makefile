@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-race chaos-smoke fuzz-smoke examples-smoke bench bench-check loadcheck fleetcheck
+.PHONY: build test verify verify-race chaos-smoke fuzz-smoke examples-smoke bench loadcheck fleetcheck
 
 build:
 	$(GO) build ./...
@@ -71,25 +71,13 @@ examples-smoke:
 			{ echo "examples-smoke: $$name failed"; exit 1; }; \
 	done
 
-# Benchmarks: one pass over the Go benchmarks (smoke, 1 iteration each)
-# plus the machine-readable simulate hot-path measurement CI archives as an
-# artifact.
+# Benchmark smoke: one iteration of every Go benchmark, so a benchmark
+# that no longer builds or panics fails here. Allocation counts are exact
+# tests (TestAppendTransmitZeroAlloc, TestSimulateAllocs and their kin in
+# `make test`); paired end-to-end timing against the parent commit is
+# bench/'s job (bench/README.md).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-	$(GO) run ./cmd/dnabench -json BENCH_sim.json
-
-# Regression gate: re-measure the simulate hot paths and fail on >15%
-# ns/op regression against the committed BENCH_sim.json baseline, or on
-# allocs/op growth (absolute growth past an 8-alloc grace when the
-# baseline is zero-alloc — a fraction of zero can't gate). The
-# channel.transmit/* workloads additionally hard-fail the measurement
-# itself if the default transmit path allocates at all: allocs/op on the
-# packed AppendTransmit kernels must be exactly 0. The comparison report
-# lands in BENCH_compare.txt (archived by CI even when the gate fails).
-# After an intentional perf change, refresh the baseline with `make
-# bench` on the reference machine and commit it.
-bench-check:
-	$(GO) run ./cmd/dnabench -compare BENCH_sim.json -compare-report BENCH_compare.txt
 
 # Capacity & conservation drills: the single dnasimd server driven
 # through the chaosnet fault proxy, and a 3-node fleet coordinator

@@ -650,6 +650,33 @@ func TestCLILoadRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestCLIBenchFailsOnFailedWrite: a CSV file dnabench cannot write (its
+// path is a directory) is reported and fails the run with exit 1, though
+// the experiment still prints; a negative -clusters is a usage error.
+func TestCLIBenchFailsOnFailedWrite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI workflow builds binaries")
+	}
+	bin := buildCLIs(t)
+	csvDir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(csvDir, "table1_1.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(bin, "dnabench"), "-exp", "table1.1", "-csv", csvDir)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stderr.String(), "is a directory") ||
+		!strings.Contains(stdout.String(), "Nanopore") {
+		t.Errorf("unwritable CSV: exit %d, stdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+
+	code, stderr2 := runCLIFail(t, bin, "dnabench", "-exp", "table1.1", "-clusters", "-1")
+	if code != 2 || !strings.Contains(stderr2, "-clusters must not be negative") {
+		t.Errorf("-clusters -1: exit %d, stderr:\n%s", code, stderr2)
+	}
+}
+
 // TestCLIGenRefusesEmptyRead: a channel harsh enough to delete a short
 // strand whole makes an empty read, which the cluster text format cannot
 // carry. dnagen must fail on it and leave no output file, empty or not.

@@ -1,7 +1,11 @@
 // Command dnabench regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the experiment index). Tables print as
 // aligned text; figures print as ASCII profiles, and -csv <dir> writes the
-// machine-readable data for external plotting.
+// machine-readable data for external plotting. An experiment that fails,
+// or a CSV or SVG file that cannot be written, is reported and the rest
+// still run; dnabench then exits 1. Performance is measured elsewhere: the
+// Go benchmarks (`make bench`), the exact allocation tests, and bench/,
+// which compares two commits run by run over the end-to-end paths.
 //
 // Usage:
 //
@@ -10,9 +14,6 @@
 //	dnabench -exp table3.1   # one experiment
 //	dnabench -list           # list experiment IDs
 //	dnabench -csv out/       # also write CSV files
-//	dnabench -json BENCH_sim.json   # benchmark the simulate hot paths, write JSON
-//	dnabench -compare BENCH_sim.json -compare-report BENCH_compare.txt
-//	                         # re-measure and fail on >15% ns/op regression
 package main
 
 import (
@@ -38,27 +39,14 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		csvDir   = flag.String("csv", "", "directory to write CSV outputs into")
 		svgDir   = flag.String("svg", "", "directory to write SVG figures into")
-		jsonOut  = flag.String("json", "", "benchmark the simulate hot paths and write machine-readable results to this path, then exit")
-		compare  = flag.String("compare", "", "benchmark the simulate hot paths and compare against this baseline JSON; exit 1 on regression")
-		cmpOut   = flag.String("compare-report", "", "with -compare: also write the comparison report to this path")
-		cmpTol   = flag.Float64("compare-tolerance", 0.15, "with -compare: fractional ns/op regression that fails the gate")
 		logOpts  = obs.LogFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	if *clusters < 0 {
+		fmt.Fprintf(os.Stderr, "dnabench: -clusters must not be negative (0 keeps the scale's count), got %d\n", *clusters)
+		os.Exit(2)
+	}
 	logger := logOpts.Logger("dnabench")
-
-	if *compare != "" {
-		if err := compareBench(*compare, *cmpOut, *cmpTol, *seed); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut, *seed); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.Registry() {
@@ -117,6 +105,11 @@ func main() {
 		}
 	}
 
+	failed := false
+	report := func(id string, err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+		failed = true
+	}
 	for _, e := range entries {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "dnabench: interrupted — partial results written")
@@ -125,7 +118,7 @@ func main() {
 		start := time.Now()
 		results, err := e.Run(wb, scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+			report(e.ID, err)
 			continue
 		}
 		for i, r := range results {
@@ -137,14 +130,14 @@ func main() {
 			if *csvDir != "" {
 				path := filepath.Join(*csvDir, name+".csv")
 				if err := os.WriteFile(path, []byte(r.CSV()), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+					report(e.ID, err)
 				}
 			}
 			if *svgDir != "" {
 				if s, ok := r.(experiments.Series); ok {
 					path := filepath.Join(*svgDir, name+".svg")
 					if err := os.WriteFile(path, []byte(s.SVG()), 0o644); err != nil {
-						fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+						report(e.ID, err)
 					}
 				}
 			}
@@ -152,6 +145,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 		logger.Debug("experiment done", "id", e.ID, "results", len(results),
 			"elapsed", time.Since(start).Round(time.Millisecond))
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

@@ -155,8 +155,8 @@ func TestScratchConcurrentReuse(t *testing.T) {
 // through second-order + spatial Model, DNASimulator, the 4-stage
 // pipelines (the physical one's PCR and aging stages hand codes on through
 // their embedded Model) or a pipeline whose intermediate DNASimulator
-// takes the ASCII hand-off allocates nothing. dnabench's zero-alloc workloads measure the
-// same kernels; this test fails on any allocation without a timing run.
+// takes the ASCII hand-off allocates nothing. It fails on any allocation
+// without a timing run; TestSimulateAllocs pins whole simulations.
 func TestAppendTransmitZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
